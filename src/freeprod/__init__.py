@@ -45,6 +45,7 @@ from .lgraph import (
     trace,
 )
 from .precover import (
+    InvariantError,
     SubgroupGraph,
     Verdict,
     component_is_cover,

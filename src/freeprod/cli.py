@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_NONMEMBER = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_VERIFY = 4
 
 
 class ProblemFileError(ValueError):
@@ -148,7 +149,12 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
             raise ProblemFileError("expected 'cyclic N'", tline, tcol)
         if len(gen_items) != 1:
             raise ProblemFileError("a cyclic factor takes exactly one generator", gline, gcol)
-        return make_cyclic(int(parts[1]), gen_items[0][0])
+        n = int(parts[1])
+        if n > cap:
+            raise CapExceededError(
+                f"line {tline}, column {tcol}: cyclic group order {n} exceeds cap {cap}"
+            )
+        return make_cyclic(n, gen_items[0][0])
 
     if kind == "table":
         if len(parts) != 2:
@@ -312,7 +318,7 @@ def cmd_kurosh(args) -> int:
     _emit(lines, args.out)
     if not check.ok:
         print(f"verification failed: {check.reason}", file=sys.stderr)
-        return EXIT_NONMEMBER
+        return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -27,7 +27,14 @@ from .lgraph import (
     spanning_tree,
     trace,
 )
-from .precover import SubgroupGraph, Verdict, component_is_cover, contains, subgroup_graph
+from .precover import (
+    InvariantError,
+    SubgroupGraph,
+    Verdict,
+    component_is_cover,
+    contains,
+    subgroup_graph,
+)
 from .words import NormalWord, Word, free_reduce, inverse_word, letter_key, normalize
 
 
@@ -212,24 +219,25 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
             factors.append(fac)
     delta = g
     for comp in components(delta):
-        assert len(comp.edges) == len(comp.vertices) - 1, (
-            "a non-tree monochromatic component survived the basic steps"
-        )
+        if len(comp.edges) != len(comp.vertices) - 1:
+            raise InvariantError("a non-tree monochromatic component survived the basic steps")
     basis = free_basis(delta, v0)
     d = KuroshDecomposition(tuple(factors), tuple(basis), delta)
 
     for f in d.factors:
         group = pair.factor(f.factor)
-        assert f.subgroup != frozenset({group.identity})
-        if f.conjugator_nf:
-            assert f.conjugator_nf.syllables[-1][0] != f.factor
+        if f.subgroup == frozenset({group.identity}):
+            raise InvariantError("a trivial subgroup was recorded as a factor")
+        if f.conjugator_nf and f.conjugator_nf.syllables[-1][0] == f.factor:
+            raise InvariantError("a conjugator ends in its own factor")
         for elem in sorted(f.subgroup):
             if elem == group.identity:
                 continue
-            w = _conjugated_word(f, elem, pair)
-            assert contains(sg, w), "factor generator fell outside the subgroup"
+            if not contains(sg, _conjugated_word(f, elem, pair)):
+                raise InvariantError("factor generator fell outside the subgroup")
     for w in d.free_basis:
-        assert contains(sg, w), "basis word fell outside the subgroup"
+        if not contains(sg, w):
+            raise InvariantError("basis word fell outside the subgroup")
     return d
 
 

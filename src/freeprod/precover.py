@@ -12,19 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fingroup import FactorPair, coset_graph, schreier_stabilizer
-from .lgraph import (
-    LabeledGraph,
-    MonoComponent,
-    bouquet,
-    components,
-    cut_hairs,
-    fold_all,
-    pointed_iso,
-    subgraph,
-    trace,
-)
+from .fingroup import FactorPair, schreier_stabilizer
+from .lgraph import LabeledGraph, MonoComponent, bouquet, components, cut_hairs, fold_all, trace
 from .words import Letter, Word, normal_to_word, normalize
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""
 
 
 class Verdict(NamedTuple):
@@ -48,18 +42,20 @@ def component_is_cover(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -
     """Whether a monochromatic component is a coset Cayley graph of its factor.
 
     Saturation alone is not enough: a component can be saturated yet fail to
-    be based on the factor (a cycle of the wrong length, say), so the
-    component is compared against the coset graph of its Schreier stabilizer.
+    be based on the factor (a cycle of the wrong length, say).  Let S be the
+    loop subgroup at a vertex v and t_u the element read along the spanning
+    tree path from v to u.  Every edge u -x-> w has t_u x t_w^-1 in S, so
+    u -> S t_u maps the saturated, well-labelled component onto the coset
+    graph of S, bijectively on the edges at each vertex: a covering of
+    degree |V| / [G:S].  The component is the coset graph exactly when that
+    degree is one, that is when |V| * |S| = |G|.
     """
     sat, _ = _is_saturated(g, comp, pair)
     if not sat:
         return False
     group = pair.factor(comp.factor)
-    v = comp.min_vertex
-    stab = schreier_stabilizer(g, v, group, within=comp)
-    expected = coset_graph(group, stab, factor=comp.factor)
-    piece = subgraph(g, comp.vertices, comp.edges, v)
-    return pointed_iso(piece, piece.basepoint, expected, expected.basepoint)
+    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    return len(comp.vertices) * len(stab) == group.order
 
 
 def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
@@ -71,26 +67,18 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
     components, so the loop runs to a fixpoint; a glued component folds
     into a quotient of the Cayley copy, which is a cover, and covers absorb
     whatever folds into them, so the sweep count stays below the initial
-    component count.  Verdicts for untouched components are cached.
+    component count.
     """
     h = g.copy()
-    verified: set = set()
     sweeps = 0
     limit = len(components(h)) + 2
     while True:
-        bad = []
-        for comp in components(h):
-            key = (comp.factor, comp.vertices, comp.edges)
-            if key in verified:
-                continue
-            if component_is_cover(h, comp, pair):
-                verified.add(key)
-            else:
-                bad.append(comp)
+        bad = [comp for comp in components(h) if not component_is_cover(h, comp, pair)]
         if not bad:
             return h
         sweeps += 1
-        assert sweeps <= limit, "saturation did not converge"
+        if sweeps > limit:
+            raise InvariantError("saturation did not converge")
         seeds = []
         for comp in bad:
             e = comp.edges[0]
@@ -113,6 +101,29 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
         h._fold_inplace(seeds=seeds)
 
 
+def _redundant(g: LabeledGraph, comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
+    """The redundancy rule of ``prune_redundant`` and ``is_reduced_precover``."""
+    return (
+        len(comp.vertices) == pair.factor(comp.factor).order
+        and len(comp.vb) <= 1
+        and v0 not in comp.vm
+        and component_is_cover(g, comp, pair)
+    )
+
+
+def _collapses(g: LabeledGraph, comps: list[MonoComponent], pair: FactorPair) -> bool:
+    """Whether the whole graph is a lone factor Cayley graph, which collapses
+    to the basepoint.  A lone component has no bichromatic vertices."""
+    if len(comps) != 1:
+        return False
+    comp = comps[0]
+    return (
+        comp.vertices == frozenset(g.vertices())
+        and len(comp.vertices) == pair.factor(comp.factor).order
+        and component_is_cover(g, comp, pair)
+    )
+
+
 def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
     """Drop redundant components of a precover, keeping attaching vertices.
 
@@ -126,18 +137,7 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
     h = g.copy()
     v0 = h.find(v0)
     while True:
-        comps = components(h)
-        victim = None
-        for comp in comps:
-            group = pair.factor(comp.factor)
-            if len(comp.vertices) != group.order:
-                continue
-            if len(comp.vb) > 1 or v0 in comp.vm:
-                continue
-            if not component_is_cover(h, comp, pair):
-                continue
-            victim = comp
-            break
+        victim = next((c for c in components(h) if _redundant(h, c, v0, pair)), None)
         if victim is None:
             break
         keep = set(victim.vb)
@@ -147,20 +147,12 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
             if v not in keep:
                 h.remove_vertex(v)
     comps = components(h)
-    if len(comps) == 1:
-        comp = comps[0]
-        group = pair.factor(comp.factor)
-        if (
-            not comp.vb
-            and comp.vertices == frozenset(h.vertices())
-            and len(comp.vertices) == group.order
-            and component_is_cover(h, comp, pair)
-        ):
-            for e in comp.edges:
-                h.remove_edge(e)
-            for v in sorted(comp.vertices):
-                if v != v0:
-                    h.remove_vertex(v)
+    if _collapses(h, comps, pair):
+        for e in comps[0].edges:
+            h.remove_edge(e)
+        for v in sorted(comps[0].vertices):
+            if v != v0:
+                h.remove_vertex(v)
     return h
 
 
@@ -192,14 +184,13 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     g = saturate(g, pair)
     g = prune_redundant(g, g.basepoint, pair)
     pre = is_precover(g, pair)
-    red = is_reduced_precover(g, g.basepoint, pair)
     return SubgroupGraph(
         graph=g,
         pair=pair,
         generators=gens,
         total_length=sum(len(w) for w in gens),
         precover_ok=pre.ok,
-        reduced_ok=red.ok,
+        reduced_ok=pre.ok and _reduced(g, g.basepoint, pair).ok,
     )
 
 
@@ -226,26 +217,18 @@ def is_reduced_precover(g: LabeledGraph, v0: int, pair: FactorPair) -> Verdict:
     pre = is_precover(g, pair)
     if not pre.ok:
         return Verdict(False, f"not a precover: {pre.reason}")
+    return _reduced(g, v0, pair)
+
+
+def _reduced(g: LabeledGraph, v0: int, pair: FactorPair) -> Verdict:
+    """The no-redundant-components condition on a certified precover."""
     v0 = g.find(v0)
     comps = components(g)
     for k, comp in enumerate(comps):
-        group = pair.factor(comp.factor)
-        if (
-            len(comp.vertices) == group.order
-            and len(comp.vb) <= 1
-            and v0 not in comp.vm
-        ):
+        if _redundant(g, comp, v0, pair):
             return Verdict(False, f"component {k} (factor {comp.factor}) is redundant")
-    if len(comps) == 1:
-        comp = comps[0]
-        group = pair.factor(comp.factor)
-        if (
-            not comp.vb
-            and comp.vertices == frozenset(g.vertices())
-            and len(comp.vertices) == group.order
-            and group.order > 1
-        ):
-            return Verdict(False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint")
+    if _collapses(g, comps, pair):
+        return Verdict(False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint")
     return Verdict(True)
 
 

@@ -1,5 +1,7 @@
 import pytest
 
+import freeprod.cli
+from freeprod import Verdict
 from freeprod.cli import main
 
 PSL2_FILE = """\
@@ -140,6 +142,25 @@ generators = b
     code, _, err = _run(capsys, "build", p, "--cap", "32")
     assert code == 3
     assert "cap" in err
+
+
+def test_cyclic_factor_over_cap(tmp_path, capsys):
+    p = tmp_path / "big.fp"
+    p.write_text(PSL2_FILE.replace("cyclic 3", "cyclic 300"))
+    code, out, err = _run(capsys, "build", p, "--cap", "10")
+    assert code == 3
+    assert out == ""
+    assert "line 6" in err and "exceeds cap 10" in err
+
+
+def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
+    monkeypatch.setattr(
+        freeprod.cli, "verify", lambda d, sg: Verdict(False, "rebuilt graph differs")
+    )
+    code, out, err = _run(capsys, "kurosh", psl2_file)
+    assert code == 4
+    assert "rebuilt graph differs" in err
+    assert out.splitlines()[-1] == "verified: false"
 
 
 def test_table_factor(tmp_path, capsys):

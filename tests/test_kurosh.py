@@ -1,9 +1,18 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freeprod
 from freeprod import (
+    InvariantError,
+    LabeledGraph,
+    Letter,
+    SubgroupGraph,
     basic_step,
     bouquet,
     cayley_graph,
@@ -261,3 +270,41 @@ def test_decompose_structured_z4z6(z4z6):
         assert sorted((f.factor, f.order) for f in d.factors) == factors, text
         assert d.free_rank == rank, text
         assert verify(d, sg).ok, text
+
+
+def test_decompose_rejects_a_non_cover(z4z6):
+    # a saturated x-3-cycle is no cover of Z4, so no basic step removes it
+    g = LabeledGraph()
+    verts = [g.add_vertex() for _ in range(3)]
+    for k, v in enumerate(verts):
+        g.add_edge(v, verts[(k + 1) % 3], Letter(1, 0, 1))
+    sg = SubgroupGraph(g, z4z6, (), 0, precover_ok=False, reduced_ok=False)
+    with pytest.raises(InvariantError, match="non-tree"):
+        decompose(sg)
+
+
+_X_TRIANGLE_UNDER_O = """
+from freeprod import *
+pair = FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y"))
+g = LabeledGraph()
+vs = [g.add_vertex() for _ in range(3)]
+for k in range(3):
+    g.add_edge(vs[k], vs[(k + 1) % 3], Letter(1, 0, 1))
+try:
+    decompose(SubgroupGraph(g, pair, (), 0, False, False))
+except InvariantError:
+    print("InvariantError")
+"""
+
+
+def test_decompose_invariants_survive_optimize():
+    # the same graph as above, in an interpreter that strips asserts
+    src = str(Path(freeprod.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _X_TRIANGLE_UNDER_O],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "InvariantError", proc.stderr

@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeprod import (
     FactorPair,
     LabeledGraph,
     Letter,
     cayley_graph,
+    component_is_cover,
     components,
     contains,
+    coset_graph,
+    from_presentation,
     index_if_finite,
     is_precover,
     is_reduced_precover,
@@ -17,6 +22,8 @@ from freeprod import (
     pointed_iso,
     prune_redundant,
     saturate,
+    schreier_stabilizer,
+    subgraph,
     subgroup_graph,
 )
 
@@ -232,8 +239,6 @@ def test_partial_cancellation_generator(z2z3):
 
 @pytest.fixture(scope="module")
 def klein_s3():
-    from freeprod import from_presentation
-
     klein = from_presentation(["u", "v"], ["u^2", "v^2", "u v u^-1 v^-1"], cap=32)
     s3 = from_presentation(["s", "t"], ["s^2", "t^3", "s t s t"], cap=32)
     return FactorPair(klein, s3)
@@ -297,3 +302,46 @@ def test_is_precover_rejects_disconnected(z2z3):
     g.add_edge(v, v, Letter(1, 0, 1))
     res = is_precover(g, z2z3)
     assert not res.ok and "connected" in res.reason
+
+
+# factors for the cover property test, each paired with a Z2 it never uses
+_COVER_PAIRS = {
+    name: FactorPair(group, make_cyclic(2, "z"))
+    for name, group in {
+        "Z2": make_cyclic(2, "a"),
+        "Z4": make_cyclic(4, "a"),
+        "Z6": make_cyclic(6, "a"),
+        "Klein": from_presentation(["u", "v"], ["u^2", "v^2", "u v u^-1 v^-1"], cap=32),
+        "S3": from_presentation(["s", "t"], ["s^2", "t^3", "s t s t"], cap=32),
+        "D4": from_presentation(["r", "f"], ["r^4", "f^2", "f r f r"], cap=32),
+    }.items()
+}
+
+
+def _is_coset_graph(g, comp, pair):
+    """Reference cover test: compare against the coset graph of the loop
+    subgroup by a pointed isomorphism walk."""
+    group = pair.factor(comp.factor)
+    v = comp.min_vertex
+    stab = schreier_stabilizer(g, v, group, within=comp)
+    expected = coset_graph(group, stab, factor=comp.factor)
+    piece = subgraph(g, comp.vertices, comp.edges, v)
+    return pointed_iso(piece, piece.basepoint, expected, expected.basepoint)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cover_count_agrees_with_coset_graph_isomorphism(data):
+    # one random permutation per generator makes every component saturated
+    # and well-labelled; the component of vertex 0 may or may not be a cover
+    pair = _COVER_PAIRS[data.draw(st.sampled_from(sorted(_COVER_PAIRS)))]
+    group = pair.factor1
+    n = data.draw(st.integers(1, 2 * group.order))
+    g = LabeledGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for gi in range(len(group.generators)):
+        for v, w in enumerate(data.draw(st.permutations(range(n)))):
+            g.add_edge(v, w, Letter(1, gi, 1))
+    comp = next(c for c in components(g) if 0 in c.vertices)
+    assert component_is_cover(g, comp, pair) == _is_coset_graph(g, comp, pair)
