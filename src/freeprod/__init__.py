@@ -28,6 +28,7 @@ from .kurosh import (
     verify,
 )
 from .lgraph import (
+    InvariantError,
     LabeledGraph,
     MonoComponent,
     SpanningTree,
@@ -45,7 +46,6 @@ from .lgraph import (
     trace,
 )
 from .precover import (
-    InvariantError,
     SubgroupGraph,
     Verdict,
     component_is_cover,

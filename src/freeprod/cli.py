@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .fingroup import (
@@ -119,19 +120,26 @@ def _split_list(value: str, line: int, col: int) -> list[tuple[str, int]]:
     return items
 
 
-def _read_table_file(path: Path, line: int) -> list[list[int]]:
+def _read_table_file(path: Path, line: int, col: int, cap: int) -> list[list[int]]:
+    """Read a table file.  The order line is held against ``cap`` before
+    the table block is read."""
     try:
-        rows = path.read_text().split("\n")
+        with path.open() as fh:
+            rows = (r.split() for r in fh if r.strip())
+            head = next(rows, None)
+            if head is None:
+                raise ProblemFileError(f"table file {path} is empty", line)
+            try:
+                order = int(head[0])
+                if order > cap:
+                    raise CapExceededError(
+                        f"line {line}, column {col}: table group order {order} exceeds cap {cap}"
+                    )
+                table = [[int(x) for x in row] for row in islice(rows, max(order, 0))]
+            except ValueError:
+                raise ProblemFileError(f"table file {path} has non-integer entries", line) from None
     except OSError as exc:
         raise ProblemFileError(f"cannot read table file {path}: {exc}", line) from None
-    toks = [r.split() for r in rows if r.strip()]
-    if not toks:
-        raise ProblemFileError(f"table file {path} is empty", line)
-    try:
-        order = int(toks[0][0])
-        table = [[int(x) for x in row] for row in toks[1 : order + 1]]
-    except ValueError:
-        raise ProblemFileError(f"table file {path} has non-integer entries", line) from None
     if len(table) != order or any(len(r) != order for r in table):
         raise ProblemFileError(f"table file {path} is not {order}x{order}", line)
     return table
@@ -159,7 +167,7 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
     if kind == "table":
         if len(parts) != 2:
             raise ProblemFileError("expected 'table FILE'", tline, tcol)
-        table = _read_table_file(base / parts[1], tline)
+        table = _read_table_file(base / parts[1], tline, tcol, cap)
         gens = []
         for item, col in gen_items:
             name, sep, idx = item.partition(":")
@@ -188,7 +196,7 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
         if own_cap is not None:
             if not own_cap[0].isdigit():
                 raise ProblemFileError("cap must be a positive integer", own_cap[1])
-            use_cap = int(own_cap[0])
+            use_cap = min(cap, int(own_cap[0]))  # a section may lower the bound, not lift it
         return from_presentation(labels, rel_words, cap=use_cap)
 
     raise ProblemFileError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from dataclasses import dataclass, field
-from .lgraph import LabeledGraph, MonoComponent, SpanningTree, spanning_tree
+from .lgraph import InvariantError, LabeledGraph, MonoComponent, SpanningTree, spanning_tree
 from .words import Letter, Word, WordSyntaxError, _tokens, free_reduce, inverse_word
 
 DEFAULT_CAP = 4096
@@ -564,7 +564,8 @@ def reidemeister_schreier(
         cur = start
         for gi, sign in relator:
             e = cg.out_edge(cur, Letter(factor, gi, sign))
-            assert e is not None  # coset graphs are saturated
+            if e is None:
+                raise InvariantError("a coset graph is not saturated")
             geo = e & ~1
             if geo not in tree.geo_edges:
                 # symbol orientation follows the stored direct half

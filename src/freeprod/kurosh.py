@@ -1,10 +1,13 @@
 """Reading a Kurosh decomposition off a subgroup graph.
 
-Each cover component contributes one conjugate of a factor subgroup: replace
-the component by a spanning tree and record the loop subgroup at its
-basepoint, conjugated by the label of an approach path from the graph
-basepoint.  Once every component is a tree the residual graph determines a
-free group, whose basis is read off the non-tree edges of a spanning tree.
+One breadth-first spanning tree from the basepoint, built before anything
+is deleted, fixes every conjugator: the first vertex of a cover component
+in the tree's BFS order is the component's basepoint, and the tree word to
+it is the conjugator.  Each cover component then contributes the loop
+subgroup at its basepoint (when non-trivial), and is replaced in place, on
+one working copy of the graph, by its own spanning tree.  Once every
+component is a tree the residual graph determines a free group, whose basis
+is read off the non-tree edges of a spanning tree.
 """
 
 from __future__ import annotations
@@ -20,22 +23,21 @@ from .fingroup import (
     schreier_stabilizer,
 )
 from .lgraph import (
+    InvariantError,
     LabeledGraph,
     MonoComponent,
     components,
     pointed_iso,
     spanning_tree,
-    trace,
 )
 from .precover import (
-    InvariantError,
     SubgroupGraph,
     Verdict,
     component_is_cover,
     contains,
     subgroup_graph,
 )
-from .words import NormalWord, Word, free_reduce, inverse_word, letter_key, normalize
+from .words import NormalWord, Word, free_reduce, inverse_word, normalize
 
 
 @dataclass(frozen=True)
@@ -77,108 +79,49 @@ def mcc(g: LabeledGraph, pair: FactorPair) -> list[MonoComponent]:
     covers = [c for c in components(g) if component_is_cover(g, c, pair)]
     if not covers:
         return []
+    at: dict[int, list[int]] = {}   # vertex -> indices of the covers holding it
+    for i, c in enumerate(covers):
+        for v in c.vertices:
+            at.setdefault(v, []).append(i)
     ordered: list[MonoComponent] = []
-    seen: set[MonoComponent] = set()
+    seen = [False] * len(covers)
 
-    def bfs(seed: MonoComponent) -> None:
+    def bfs(seed: int) -> None:
         queue = deque([seed])
-        seen.add(seed)
+        seen[seed] = True
         while queue:
-            c = queue.popleft()
+            c = covers[queue.popleft()]
             ordered.append(c)
-            nbrs = [d for d in covers if d not in seen and (d.vertices & c.vertices)]
-            nbrs.sort(key=lambda d: (d.min_vertex, d.factor))
-            for d in nbrs:
-                seen.add(d)
-                queue.append(d)
+            nbrs = {i for v in c.vb for i in at[v] if not seen[i]}
+            for i in sorted(nbrs, key=lambda i: (covers[i].min_vertex, covers[i].factor)):
+                seen[i] = True
+                queue.append(i)
 
-    bp = g.basepoint
-    starts = sorted(
-        (c for c in covers if bp in c.vertices), key=lambda c: (c.factor, c.min_vertex)
-    )
+    starts = sorted(at.get(g.basepoint, ()), key=lambda i: covers[i].factor)
     if starts:
         bfs(starts[0])
-    while len(ordered) < len(covers):
-        rest = sorted(
-            (c for c in covers if c not in seen), key=lambda c: (c.min_vertex, c.factor)
-        )
-        bfs(rest[0])
+    for i in range(len(covers)):   # components() sorts by (min_vertex, factor)
+        if not seen[i]:
+            bfs(i)
     return ordered
 
 
-def _approach(g: LabeledGraph, targets: frozenset[int]) -> tuple[int, Word]:
-    """Shortest freely reduced path from the basepoint into a vertex set.
+def basic_step(g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair) -> frozenset[int]:
+    """Replace a cover component by its spanning tree at ``v``, in place.
 
-    BFS in letter order; the first vertex of the set that is reached becomes
-    the component basepoint, which guarantees the path meets the component
-    only there.
-    """
-    bp = g.basepoint
-    if bp in targets:
-        return bp, ()
-    prev: dict[int, int] = {}
-    seen = {bp}
-    queue = deque([bp])
-    while queue:
-        v = queue.popleft()
-        out = sorted(g.half_edges(v), key=lambda e: (letter_key(g.label(e)), e))
-        for e in out:
-            w = g.term(e)
-            if w in seen:
-                continue
-            seen.add(w)
-            prev[w] = e
-            if w in targets:
-                path = []
-                cur = w
-                while cur != bp:
-                    e2 = prev[cur]
-                    path.append(g.label(e2))
-                    cur = g.init(e2)
-                path.reverse()
-                return w, tuple(path)
-            queue.append(w)
-    raise ValueError("component is not reachable from the basepoint")
-
-
-def basic_step(
-    g: LabeledGraph,
-    c: MonoComponent,
-    v: int,
-    approach: Word,
-    pair: FactorPair,
-    component_id: int = 0,
-) -> tuple[ConjugatedFactor | None, LabeledGraph]:
-    """Extract one conjugated factor and replace the component by its tree.
-
-    Returns None in place of a factor when the loop subgroup at ``v`` is
-    trivial (the component was a full Cayley graph); its spanning tree still
-    stays behind and feeds the free rank.
+    Deletes the component's non-tree edges from ``g`` and returns the loop
+    subgroup at ``v``.  It is trivial when the component was a full Cayley
+    graph; the tree still stays behind and feeds the free rank.
     """
     v = g.find(v)
     if v not in c.vertices:
         raise ValueError(f"vertex {v} is not in the component")
-    t = trace(g, g.basepoint, approach)
-    if t.vertex != v:
-        raise ValueError("approach path does not lead to the component basepoint")
-    group = pair.factor(c.factor)
-    stab = schreier_stabilizer(g, v, group, within=c)
+    stab = schreier_stabilizer(g, v, pair.factor(c.factor), within=c)
     tree = spanning_tree(g, v, within=c)
-    h = g.copy()
     for e in c.edges:
         if e not in tree.geo_edges:
-            h.remove_edge(e)
-    if stab == frozenset({group.identity}):
-        return None, h
-    factor = ConjugatedFactor(
-        conjugator=approach,
-        conjugator_nf=normalize(approach, pair),
-        factor=c.factor,
-        subgroup=stab,
-        component=component_id,
-        basepoint=v,
-    )
-    return factor, h
+            g.remove_edge(e)
+    return stab
 
 
 def free_basis(delta: LabeledGraph, v0: int) -> list[Word]:
@@ -206,45 +149,57 @@ def free_basis(delta: LabeledGraph, v0: int) -> list[Word]:
 
 
 def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
-    """Full decomposition of the subgroup a certified graph determines."""
+    """Full decomposition of the subgroup a certified graph determines,
+    read off one spanning tree as the module docstring describes."""
     pair = sg.pair
-    v0 = sg.graph.basepoint
     g = sg.graph.copy()
-    order = mcc(g, pair)
+    tree = spanning_tree(g, g.basepoint)
+    rank = {v: i for i, v in enumerate(tree.order)}
     factors: list[ConjugatedFactor] = []
-    for k, comp in enumerate(order):
-        v, approach = _approach(g, comp.vertices)
-        fac, g = basic_step(g, comp, v, approach, pair, component_id=k)
-        if fac is not None:
-            factors.append(fac)
-    delta = g
-    for comp in components(delta):
+    for k, comp in enumerate(mcc(g, pair)):
+        reached = [u for u in comp.vertices if u in rank]
+        if not reached:
+            raise ValueError("component is not reachable from the basepoint")
+        v = min(reached, key=rank.__getitem__)
+        stab = basic_step(g, comp, v, pair)
+        if len(stab) == 1:
+            continue
+        conjugator = tree.word_to(g, v)
+        nf = normalize(conjugator, pair)
+        if nf and nf.syllables[-1][0] == comp.factor:
+            raise InvariantError("a conjugator ends in its own factor")
+        factors.append(
+            ConjugatedFactor(
+                conjugator=conjugator,
+                conjugator_nf=nf,
+                factor=comp.factor,
+                subgroup=stab,
+                component=k,
+                basepoint=v,
+            )
+        )
+    for comp in components(g):
         if len(comp.edges) != len(comp.vertices) - 1:
             raise InvariantError("a non-tree monochromatic component survived the basic steps")
-    basis = free_basis(delta, v0)
-    d = KuroshDecomposition(tuple(factors), tuple(basis), delta)
-
-    for f in d.factors:
-        group = pair.factor(f.factor)
-        if f.subgroup == frozenset({group.identity}):
-            raise InvariantError("a trivial subgroup was recorded as a factor")
-        if f.conjugator_nf and f.conjugator_nf.syllables[-1][0] == f.factor:
-            raise InvariantError("a conjugator ends in its own factor")
-        for elem in sorted(f.subgroup):
-            if elem == group.identity:
-                continue
-            if not contains(sg, _conjugated_word(f, elem, pair)):
-                raise InvariantError("factor generator fell outside the subgroup")
-    for w in d.free_basis:
-        if not contains(sg, w):
-            raise InvariantError("basis word fell outside the subgroup")
+    d = KuroshDecomposition(tuple(factors), tuple(free_basis(g, sg.graph.basepoint)), g)
+    if not all(contains(sg, w) for w in _emitted_words(d, pair)):
+        raise InvariantError("an emitted generator fell outside the subgroup")
     return d
 
 
-def _conjugated_word(f: ConjugatedFactor, elem: int, pair: FactorPair) -> Word:
-    group = pair.factor(f.factor)
-    inner = _group_word_to_letters(group.word_for(elem), f.factor)
-    return free_reduce(f.conjugator + inner + inverse_word(f.conjugator))
+def _emitted_words(d: KuroshDecomposition, pair: FactorPair) -> list[Word]:
+    """The generating set a decomposition stands for: every non-identity
+    element of each factor subgroup, conjugated, then the free basis."""
+    words: list[Word] = []
+    for f in d.factors:
+        group = pair.factor(f.factor)
+        for elem in sorted(f.subgroup):
+            if elem == group.identity:
+                continue
+            inner = _group_word_to_letters(group.word_for(elem), f.factor)
+            words.append(free_reduce(f.conjugator + inner + inverse_word(f.conjugator)))
+    words.extend(d.free_basis)
+    return words
 
 
 def presentation(d: KuroshDecomposition, pair: FactorPair) -> Presentation:
@@ -285,19 +240,11 @@ def verify(d: KuroshDecomposition, sg: SubgroupGraph) -> Verdict:
     pipeline and compares reduced precovers; uniqueness of the reduced
     precover makes pointed isomorphism equivalent to subgroup equality.
     """
-    pair = sg.pair
-    words: list[Word] = []
-    for f in d.factors:
-        group = pair.factor(f.factor)
-        for elem in sorted(f.subgroup):
-            if elem == group.identity:
-                continue
-            words.append(_conjugated_word(f, elem, pair))
-    words.extend(d.free_basis)
+    words = _emitted_words(d, sg.pair)
     for w in words:
         if not contains(sg, w):
             return Verdict(False, "an emitted generator lies outside the subgroup")
-    rebuilt = subgroup_graph(words, pair)
+    rebuilt = subgroup_graph(words, sg.pair)
     if not pointed_iso(
         rebuilt.graph, rebuilt.graph.basepoint, sg.graph, sg.graph.basepoint
     ):

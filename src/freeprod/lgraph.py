@@ -19,6 +19,10 @@ if TYPE_CHECKING:
     from .fingroup import FactorPair
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""
+
+
 class LabeledGraph:
     def __init__(self) -> None:
         self._parent: list[int] = []
@@ -97,7 +101,8 @@ class LabeledGraph:
 
     @property
     def basepoint(self) -> int:
-        assert self._base is not None, "graph has no vertices"
+        if self._base is None:
+            raise InvariantError("graph has no vertices")
         return self.find(self._base)
 
     def vertices(self) -> list[int]:
@@ -183,7 +188,8 @@ class LabeledGraph:
     def remove_vertex(self, v: int) -> None:
         """Delete a vertex; its incident edges must already be gone."""
         v = self.find(v)
-        assert self.degree(v) == 0, "removing a vertex with live edges"
+        if self.degree(v):
+            raise InvariantError("removing a vertex with live edges")
         self._valive[v] = False
 
     # -- folding ----------------------------------------------------------

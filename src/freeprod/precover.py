@@ -13,12 +13,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fingroup import FactorPair, schreier_stabilizer
-from .lgraph import LabeledGraph, MonoComponent, bouquet, components, cut_hairs, fold_all, trace
+from .lgraph import (
+    InvariantError,  # re-exported: the one class every layer raises
+    LabeledGraph,
+    MonoComponent,
+    bouquet,
+    components,
+    cut_hairs,
+    fold_all,
+    trace,
+)
 from .words import Letter, Word, normal_to_word, normalize
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: a bug, not a bad input."""
 
 
 class Verdict(NamedTuple):
@@ -29,33 +34,38 @@ class Verdict(NamedTuple):
         return self.ok
 
 
-def _is_saturated(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> tuple[bool, str | None]:
+def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str | None:
+    """Why a monochromatic component is not a cover of its factor, or None.
+
+    First saturation, vertex by vertex.  Saturation alone is not enough: a
+    component can be saturated yet fail to be based on the factor (a cycle
+    of the wrong length, say).  Let S be the loop subgroup at a vertex v and
+    t_u the element read along the spanning tree path from v to u.  Every
+    edge u -x-> w has t_u x t_w^-1 in S, so u -> S t_u maps the saturated,
+    well-labelled component onto the coset graph of S, bijectively on the
+    edges at each vertex: a covering of degree |V| / [G:S].  The component
+    is the coset graph exactly when that degree is one, that is when
+    |V| * |S| = |G|.
+    """
     letters = pair.letters(comp.factor)
     for v in sorted(comp.vertices):
         for letter in letters:
             if g.out_edge(v, letter) is None:
-                return False, f"vertex {v} has no edge labelled {pair.letter_name(letter)}"
-    return True, None
+                return (
+                    f"is not saturated: vertex {v} has no edge labelled "
+                    f"{pair.letter_name(letter)}"
+                )
+    group = pair.factor(comp.factor)
+    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    if len(comp.vertices) * len(stab) != group.order:
+        return "is saturated but is not a cover"
+    return None
 
 
 def component_is_cover(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
-    """Whether a monochromatic component is a coset Cayley graph of its factor.
-
-    Saturation alone is not enough: a component can be saturated yet fail to
-    be based on the factor (a cycle of the wrong length, say).  Let S be the
-    loop subgroup at a vertex v and t_u the element read along the spanning
-    tree path from v to u.  Every edge u -x-> w has t_u x t_w^-1 in S, so
-    u -> S t_u maps the saturated, well-labelled component onto the coset
-    graph of S, bijectively on the edges at each vertex: a covering of
-    degree |V| / [G:S].  The component is the coset graph exactly when that
-    degree is one, that is when |V| * |S| = |G|.
-    """
-    sat, _ = _is_saturated(g, comp, pair)
-    if not sat:
-        return False
-    group = pair.factor(comp.factor)
-    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
-    return len(comp.vertices) * len(stab) == group.order
+    """Whether a monochromatic component is a coset Cayley graph of its
+    factor (see ``_cover_defect`` for the counting test)."""
+    return _cover_defect(g, comp, pair) is None
 
 
 def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
@@ -101,26 +111,26 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
         h._fold_inplace(seeds=seeds)
 
 
-def _redundant(g: LabeledGraph, comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
-    """The redundancy rule of ``prune_redundant`` and ``is_reduced_precover``."""
+def _redundant(comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
+    """The redundancy rule, for a component known to be a cover: a full
+    factor Cayley graph (a cover with |G| vertices) that touches the rest
+    of the graph in at most one vertex, without the basepoint among its
+    monochromatic vertices."""
     return (
         len(comp.vertices) == pair.factor(comp.factor).order
         and len(comp.vb) <= 1
         and v0 not in comp.vm
-        and component_is_cover(g, comp, pair)
     )
 
 
 def _collapses(g: LabeledGraph, comps: list[MonoComponent], pair: FactorPair) -> bool:
-    """Whether the whole graph is a lone factor Cayley graph, which collapses
-    to the basepoint.  A lone component has no bichromatic vertices."""
-    if len(comps) != 1:
-        return False
-    comp = comps[0]
+    """Whether the whole graph is one full factor Cayley graph, which
+    collapses to the basepoint; for a component known to be a cover.  A
+    lone component has no bichromatic vertices."""
     return (
-        comp.vertices == frozenset(g.vertices())
-        and len(comp.vertices) == pair.factor(comp.factor).order
-        and component_is_cover(g, comp, pair)
+        len(comps) == 1
+        and comps[0].vertices == frozenset(g.vertices())
+        and len(comps[0].vertices) == pair.factor(comps[0].factor).order
     )
 
 
@@ -137,7 +147,10 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
     h = g.copy()
     v0 = h.find(v0)
     while True:
-        victim = next((c for c in components(h) if _redundant(h, c, v0, pair)), None)
+        victim = next(
+            (c for c in components(h) if _redundant(c, v0, pair) and component_is_cover(h, c, pair)),
+            None,
+        )
         if victim is None:
             break
         keep = set(victim.vb)
@@ -147,7 +160,7 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
             if v not in keep:
                 h.remove_vertex(v)
     comps = components(h)
-    if _collapses(h, comps, pair):
+    if _collapses(h, comps, pair) and component_is_cover(h, comps[0], pair):
         for e in comps[0].edges:
             h.remove_edge(e)
         for v in sorted(comps[0].vertices):
@@ -183,49 +196,49 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     g = cut_hairs(fold_all(g))
     g = saturate(g, pair)
     g = prune_redundant(g, g.basepoint, pair)
-    pre = is_precover(g, pair)
+    comps = components(g)
+    pre = _precover(g, comps, pair)
     return SubgroupGraph(
         graph=g,
         pair=pair,
         generators=gens,
         total_length=sum(len(w) for w in gens),
         precover_ok=pre.ok,
-        reduced_ok=pre.ok and _reduced(g, g.basepoint, pair).ok,
+        reduced_ok=pre.ok and _reduced(g, comps, g.basepoint, pair).ok,
     )
 
 
 def is_precover(g: LabeledGraph, pair: FactorPair) -> Verdict:
     """Check that every monochromatic component is a cover of its factor."""
+    return _precover(g, components(g), pair)
+
+
+def _precover(g: LabeledGraph, comps: list[MonoComponent], pair: FactorPair) -> Verdict:
     if not g.is_well_labelled():
         return Verdict(False, "graph is not well-labelled")
     if g.vertices() and not g.is_connected():
         return Verdict(False, "graph is not connected")
-    for k, comp in enumerate(components(g)):
-        sat, why = _is_saturated(g, comp, pair)
-        if not sat:
-            return Verdict(False, f"component {k} (factor {comp.factor}) is not saturated: {why}")
-        if not component_is_cover(g, comp, pair):
-            return Verdict(
-                False,
-                f"component {k} (factor {comp.factor}) is saturated but is not a cover",
-            )
+    for k, comp in enumerate(comps):
+        why = _cover_defect(g, comp, pair)
+        if why is not None:
+            return Verdict(False, f"component {k} (factor {comp.factor}) {why}")
     return Verdict(True)
 
 
 def is_reduced_precover(g: LabeledGraph, v0: int, pair: FactorPair) -> Verdict:
     """Check the no-redundant-components condition on a precover."""
-    pre = is_precover(g, pair)
+    comps = components(g)
+    pre = _precover(g, comps, pair)
     if not pre.ok:
         return Verdict(False, f"not a precover: {pre.reason}")
-    return _reduced(g, v0, pair)
+    return _reduced(g, comps, v0, pair)
 
 
-def _reduced(g: LabeledGraph, v0: int, pair: FactorPair) -> Verdict:
+def _reduced(g: LabeledGraph, comps: list[MonoComponent], v0: int, pair: FactorPair) -> Verdict:
     """The no-redundant-components condition on a certified precover."""
     v0 = g.find(v0)
-    comps = components(g)
     for k, comp in enumerate(comps):
-        if _redundant(g, comp, v0, pair):
+        if _redundant(comp, v0, pair):
             return Verdict(False, f"component {k} (factor {comp.factor}) is redundant")
     if _collapses(g, comps, pair):
         return Verdict(False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint")

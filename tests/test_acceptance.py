@@ -239,6 +239,30 @@ def test_acceptance_scaling(z2z3):
     )
 
 
+def test_acceptance_decompose_scaling(z2z3):
+    rng = random.Random(777)
+    sizes = [200, 400, 800, 1600]
+    times = []
+    for m in sizes:
+        gens = [
+            _conjugate_generator(rng, z2z3, (m - 26) // 2),
+            _conjugate_generator(rng, z2z3, 12),
+        ]
+        sg = subgroup_graph(gens, z2z3)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            decompose(sg)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    assert slope <= 1.4, f"decompose log-log slope {slope:.2f} is not near linear"
+    print(
+        f"\nACCEPTANCE decompose-scaling: PASS (slope = {slope:.2f}, "
+        f"times = {[f'{t * 1000:.0f}ms' for t in times]})"
+    )
+
+
 def test_acceptance_precover_gallery(z4z6):
     X, Y = Letter(1, 0, 1), Letter(2, 0, 1)
 

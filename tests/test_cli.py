@@ -153,6 +153,58 @@ def test_cyclic_factor_over_cap(tmp_path, capsys):
     assert "line 6" in err and "exceeds cap 10" in err
 
 
+KLEIN_FILE = PSL2_FILE.replace("cyclic 2\ngenerators = a", "table klein.tbl\ngenerators = a:1, c:2")
+
+
+def test_table_factor_over_cap(tmp_path, capsys):
+    rows = [[i ^ j for j in range(4)] for i in range(4)]
+    table = tmp_path / "klein.tbl"
+    table.write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+    p = tmp_path / "klein.fp"
+    p.write_text(KLEIN_FILE)
+    code, out, err = _run(capsys, "build", p, "--cap", "2")
+    assert code == 3
+    assert out == ""
+    assert "line 2" in err and "order 4 exceeds cap 2" in err
+    # the order line alone decides: the block after it is never parsed
+    table.write_text("4\nnot a table\n")
+    code, _, err = _run(capsys, "build", p, "--cap", "2")
+    assert code == 3 and "exceeds cap 2" in err
+    code, _, err = _run(capsys, "build", p)
+    assert code == 2 and "non-integer" in err
+
+
+S3_FILE = """\
+[factor1]
+type = presentation
+generators = s, t
+relators = s^2, t^3, s t s t
+cap = 64
+
+[factor2]
+type = cyclic 2
+generators = c
+
+[subgroup]
+generators = s c
+"""
+
+
+def test_section_cap_cannot_lift_the_bound(tmp_path, capsys):
+    p = tmp_path / "s3.fp"
+    p.write_text(S3_FILE)
+    code, out, err = _run(capsys, "build", p, "--cap", "2")
+    assert code == 3 and out == ""
+    assert "cap 2" in err
+    # under a larger bound the section's own cap still applies
+    p.write_text(S3_FILE.replace("cap = 64", "cap = 4"))
+    code, _, err = _run(capsys, "build", p, "--cap", "64")
+    assert code == 3 and "cap 4" in err
+    p.write_text(S3_FILE)
+    code, _, _ = _run(capsys, "build", p, "--cap", "64")
+    assert code == 0
+
+
 def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     monkeypatch.setattr(
         freeprod.cli, "verify", lambda d, sg: Verdict(False, "rebuilt graph differs")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -56,13 +57,15 @@ def test_mcc_ignores_trees(z2z3, psl2_sg):
 
 
 def test_basic_step_component_at_basepoint(z2z3, psl2_sg):
-    g = psl2_sg.graph
+    g = psl2_sg.graph.copy()
     comp = next(c for c in mcc(g, z2z3) if g.basepoint in c.vertices)
-    fac, g2 = basic_step(g, comp, g.basepoint, (), z2z3)
+    edges = g.edge_count()
+    stab = basic_step(g, comp, g.basepoint, z2z3)
     # the basepoint component of the worked example is a full 2-cycle:
-    # trivial loop subgroup, so the step yields only the spanning tree
-    assert fac is None
-    assert g2.edge_count() == g.edge_count() - (len(comp.edges) - (len(comp.vertices) - 1))
+    # trivial loop subgroup, so the step leaves only the spanning tree
+    assert stab == frozenset({z2z3.factor(comp.factor).identity})
+    assert g.edge_count() == edges - (len(comp.edges) - (len(comp.vertices) - 1))
+    assert psl2_sg.graph.edge_count() == edges
 
 
 def test_basic_step_extracts_conjugated_factor(z2z3, psl2_sg):
@@ -79,14 +82,13 @@ def test_basic_step_extracts_conjugated_factor(z2z3, psl2_sg):
 
 
 def test_basic_step_validates_inputs(z2z3, psl2_sg):
-    g = psl2_sg.graph
+    g = psl2_sg.graph.copy()
     order = mcc(g, z2z3)
     comp = order[0]
     outside = next(v for v in g.vertices() if v not in comp.vertices)
     with pytest.raises(ValueError):
-        basic_step(g, comp, outside, (), z2z3)
-    with pytest.raises(ValueError):
-        basic_step(g, comp, g.basepoint, parse_word("a", z2z3), z2z3)
+        basic_step(g, comp, outside, z2z3)
+    assert g.edge_count() == psl2_sg.graph.edge_count()
 
 
 def test_decompose_trivial(z2z3):
@@ -252,6 +254,54 @@ def test_factor_count_equals_mcc_minus_trivial_markers(z2z3, z4z6):
                 trivial += stab == frozenset({group.identity})
             assert len(d.factors) == len(order) - trivial
             assert (len(d.factors) == len(order)) == (trivial == 0)
+
+
+def _distances(g, source):
+    """Plain BFS distances from ``source``, labels ignored."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for e in g.half_edges(v):
+            w = g.term(e)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _check_conjugators(sg):
+    # every conjugator reads a path in the certified graph that reaches
+    # its component as early as any path can
+    g = sg.graph
+    bp = g.basepoint
+    dist = _distances(g, bp)
+    d = decompose(sg)
+    for f in d.factors:
+        comp = next(
+            c for c in components(g) if c.factor == f.factor and f.basepoint in c.vertices
+        )
+        assert trace(g, bp, f.conjugator).vertex == f.basepoint
+        assert len(f.conjugator) == min(dist[v] for v in comp.vertices)
+    assert verify(d, sg).ok
+
+
+def test_conjugators_are_shortest_paths(z2z3, z4z6):
+    rng = random.Random(67)
+    for pair in (z2z3, z4z6):
+        for gens in random_subgroups(rng, pair, 40, max_len=10):
+            _check_conjugators(subgroup_graph(gens, pair))
+
+
+def test_conjugator_through_a_cycle_of_components(z4z6):
+    # the x-square at the basepoint and a y-hexagon meet at x and at x^-1,
+    # three y-steps apart; the x-digon hanging one y-step past x^-1 is two
+    # letters away that way, three the way the hexagon is entered first
+    gens = [parse_word(t, z4z6) for t in ("x y^3 x", "x^-1 y^3 x^-1", "x^-1 y x^2 y^-1 x")]
+    sg = subgroup_graph(gens, z4z6)
+    (f,) = decompose(sg).factors
+    assert f.conjugator == parse_word("x^-1 y", z4z6)
+    _check_conjugators(sg)
 
 
 def test_decompose_structured_z4z6(z4z6):

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freeprod
 from freeprod import (
     LabeledGraph,
     Letter,
@@ -271,3 +276,44 @@ def test_fold_then_pipeline_matches_pipeline(z2z3):
 def test_dump_golden_cayley_z3(z2z3):
     g = cayley_graph(make_cyclic(3, "b"), factor=2)
     assert dump(g, z2z3) == "0 b -> 1\n1 b -> 2\n2 b -> 0\n"
+
+
+_INVARIANTS_UNDER_O = """
+import freeprod
+from freeprod import InvariantError, LabeledGraph, Letter, make_cyclic, reidemeister_schreier
+
+def attempt(f):
+    try:
+        f()
+    except InvariantError:
+        print("InvariantError")
+
+attempt(lambda: LabeledGraph().basepoint)
+g = LabeledGraph()
+g.add_edge(g.add_vertex(), g.add_vertex(), Letter(1, 0, 1))
+attempt(lambda: g.remove_vertex(0))
+
+def unsaturated_coset_graph(group, sub, factor=1):
+    h = LabeledGraph()
+    h.add_vertex()
+    return h
+
+freeprod.fingroup.coset_graph = unsaturated_coset_graph
+attempt(lambda: reidemeister_schreier(make_cyclic(4, "x"), {0, 2}))
+print(freeprod.InvariantError is freeprod.precover.InvariantError is freeprod.lgraph.InvariantError)
+"""
+
+
+def test_invariants_survive_optimize():
+    # an empty graph's basepoint, a vertex removed with a live edge, and a
+    # relator that cannot be read in the coset graph, in an interpreter
+    # that strips asserts
+    src = str(Path(freeprod.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INVARIANTS_UNDER_O],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == ["InvariantError"] * 3 + ["True"], proc.stderr
