@@ -33,9 +33,11 @@ from .fingroup import (
     FactorPair,
     FiniteGroup,
     GroupValidationError,
+    GroupWord,
     format_symbol_word,
     from_presentation,
     make_cyclic,
+    parse_group_word,
 )
 from .kurosh import decompose, presentation, verify
 from .lgraph import components, to_dot
@@ -102,7 +104,7 @@ def _parse_sections(text: str) -> dict[str, _Section]:
             raise ProblemFileError("empty key", lineno)
         if k in current.entries:
             raise ProblemFileError(f"duplicate key {k!r} in [{current.name}]", lineno)
-        vcol = len(key) + 2  # 1-based column of the value text
+        vcol = len(key) + 2 + len(value) - len(value.lstrip())  # 1-based column of the value text
         current.entries[k] = (value.strip(), lineno, vcol)
     return sections
 
@@ -118,6 +120,26 @@ def _split_list(value: str, line: int, col: int) -> list[tuple[str, int]]:
         items.append((stripped, col + offset + (len(part) - len(part.lstrip()))))
         offset += len(part) + 1
     return items
+
+
+def _parse_items(items: list[tuple[str, int]], line: int, parse) -> list:
+    """Parse each ``_split_list`` item with ``parse``, reporting a syntax
+    error at its line and column in the file."""
+    out = []
+    for item, icol in items:
+        try:
+            out.append(parse(item))
+        except WordSyntaxError as exc:
+            column = icol + (exc.column - 1 if exc.column else 0)
+            raise ProblemFileError(str(exc), line, column) from None
+    return out
+
+
+def _relators(sec: _Section, labels: tuple[str, ...]) -> list[GroupWord] | None:
+    rel = sec.get("relators")
+    if rel is None:
+        return None
+    return _parse_items(_split_list(*rel), rel[1], lambda w: parse_group_word(w, labels))
 
 
 def _read_table_file(path: Path, line: int, col: int, cap: int) -> list[list[int]]:
@@ -176,28 +198,18 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
                     f"table generators need the form name:id, got {item!r}", gline, col
                 )
             gens.append((name.strip(), int(idx)))
-        relators = None
-        rel = sec.get("relators")
-        if rel is not None:
-            from .fingroup import parse_group_word
-
-            labels = tuple(n for n, _ in gens)
-            relators = tuple(
-                parse_group_word(item, labels) for item, _ in _split_list(*rel)
-            )
+        relators = _relators(sec, tuple(n for n, _ in gens))
         return FiniteGroup(table, gens, relators=relators, cap=cap)
 
     if kind == "presentation":
-        labels = [item for item, _ in gen_items]
-        rel = sec.get("relators")
-        rel_words = [item for item, _ in _split_list(*rel)] if rel is not None else []
+        labels = tuple(item for item, _ in gen_items)
         own_cap = sec.get("cap")
         use_cap = cap
         if own_cap is not None:
             if not own_cap[0].isdigit():
                 raise ProblemFileError("cap must be a positive integer", own_cap[1])
             use_cap = min(cap, int(own_cap[0]))  # a section may lower the bound, not lift it
-        return from_presentation(labels, rel_words, cap=use_cap)
+        return from_presentation(labels, _relators(sec, labels) or [], cap=use_cap)
 
     raise ProblemFileError(
         f"unknown factor type {kind!r} (expected cyclic, table or presentation)", tline, tcol
@@ -249,13 +261,9 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
         if got is not None:
             value, line, col = got
             if value:
-                for item, icol in _split_list(value, line, col):
-                    try:
-                        words.append(parse_word(item, pair))
-                    except WordSyntaxError as exc:
-                        column = icol + (exc.column - 1 if exc.column else 0)
-                        raise ProblemFileError(str(exc), line, column) from None
-                    texts.append(item)
+                items = _split_list(value, line, col)
+                words = _parse_items(items, line, lambda w: parse_word(w, pair))
+                texts = [item for item, _ in items]
     return Problem(pair=pair, generators=tuple(words), generator_texts=tuple(texts))
 
 
@@ -269,6 +277,19 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _certified(sg) -> int:
+    """Exit code for a record built on ``sg``: EXIT_VERIFY, with the reason
+    on stderr, unless it was certified as a reduced precover."""
+    if not sg.precover_ok:
+        reason = "the subgroup graph is not a precover"
+    elif not sg.reduced_ok:
+        reason = "the precover is not reduced"
+    else:
+        return EXIT_OK
+    print(f"certification failed: {reason}", file=sys.stderr)
+    return EXIT_VERIFY
 
 
 def cmd_build(args) -> int:
@@ -285,7 +306,7 @@ def cmd_build(args) -> int:
     if args.dot:
         Path(args.dot).write_text(to_dot(sg.graph, problem.pair))
     _emit(lines, args.out)
-    return EXIT_OK
+    return _certified(sg)
 
 
 def cmd_member(args) -> int:
@@ -343,7 +364,7 @@ def cmd_present(args) -> int:
         lines.append(f"relator_{k}: {format_symbol_word(rel)}")
     lines.append(f"fallback: {'true' if pres.fallback else 'false'}")
     _emit(lines, args.out)
-    return EXIT_OK
+    return _certified(sg)
 
 
 def make_parser() -> argparse.ArgumentParser:

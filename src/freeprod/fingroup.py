@@ -1,14 +1,15 @@
 """Finite factor groups, their (coset) Cayley graphs and subgroup machinery.
 
 Groups are multiplication tables over element ids 0..order-1 with a labelled
-generating set.  Tables are validated exhaustively at construction: two-sided
-identity, two-sided inverses, associativity (with a witness triple on
-failure) and the generating property.
+generating set.  Every table is validated at construction, in time quadratic
+in the order per generator: entries in range, a two-sided identity, two-sided
+inverses, the generating property, then Light's associativity test (with a
+witness triple on failure), which checks (a*b)*g == a*(b*g) only for the
+generators g.  That suffices once the generators generate, as
+``FiniteGroup._validate`` explains.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from dataclasses import dataclass, field
 from .lgraph import InvariantError, LabeledGraph, MonoComponent, SpanningTree, spanning_tree
@@ -48,60 +49,56 @@ class FiniteGroup:
         relators: tuple[GroupWord, ...] | None = None,
         cap: int = DEFAULT_CAP,
     ):
-        self._table = tuple(tuple(int(x) for x in row) for row in table)
-        self.order = len(self._table)
+        self.order = len(table)
+        if self.order == 0:
+            raise GroupValidationError("empty multiplication table")
+        if self.order > cap:
+            raise GroupValidationError(f"group order {self.order} exceeds cap {cap}")
+        self._table = tuple(tuple(map(int, row)) for row in table)
         self.generators: tuple[tuple[str, int], ...] = tuple(
             (str(label), int(e)) for label, e in generators
         )
         self.relators = None if relators is None else tuple(tuple(r) for r in relators)
         self._word_cache: dict[int, GroupWord] | None = None
-        if self.order == 0:
-            raise GroupValidationError("empty multiplication table")
-        if self.order > cap:
-            raise GroupValidationError(f"group order {self.order} exceeds cap {cap}")
         self._validate()
 
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
-        n = self.order
-        for row in self._table:
+        """Check that the table is a group generated by the generators.
+
+        Associativity is Light's test: (a*b)*g == a*(b*g) for all a, b and
+        each generator g only.  The elements c with (a*b)*c == a*(b*c) for
+        all a, b contain the identity and the generators, and are closed
+        under products: (a*b)*(c*g) = ((a*b)*c)*g = (a*(b*c))*g
+        = a*((b*c)*g) = a*(b*(c*g)).  ``closure`` reaches every element as
+        a left-normed product of generators from the identity, so once the
+        generating check has passed, those elements are the whole group.
+        """
+        n, t = self.order, self._table
+        for row in t:
             if len(row) != n:
                 raise GroupValidationError("multiplication table is not square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise GroupValidationError(f"table entry {x} out of range")
+            if min(row) < 0 or max(row) >= n:
+                x = next(x for x in row if not 0 <= x < n)
+                raise GroupValidationError(f"table entry {x} out of range")
 
         identity = None
         for e in range(n):
-            if all(self._table[e][x] == x for x in range(n)) and all(
-                self._table[x][e] == x for x in range(n)
-            ):
+            if all(t[e][x] == x for x in range(n)) and all(t[x][e] == x for x in range(n)):
                 identity = e
                 break
         if identity is None:
             raise GroupValidationError("table has no two-sided identity")
         self.identity = identity
 
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self._table[a][b] == identity and self._table[b][a] == identity:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        inv = []
+        for a, row in enumerate(t):
+            b = row.index(identity) if identity in row else None
+            if b is None or t[b][a] != identity:
                 raise GroupValidationError(f"element {a} has no two-sided inverse")
+            inv.append(b)
         self._inv = tuple(inv)
-
-        t = np.array(self._table, dtype=np.int64)
-        for a in range(n):
-            left = t[t[a], :]   # (a*b)*c
-            right = t[a][t]     # a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise GroupValidationError(
-                    f"associativity fails at triple ({a}, {b}, {c})"
-                )
 
         labels = [label for label, _ in self.generators]
         if len(set(labels)) != len(labels):
@@ -114,6 +111,17 @@ class FiniteGroup:
         gen_images = [img for _, img in self.generators]
         if len(self.closure(gen_images)) != n:
             raise GroupValidationError("generators do not generate the group")
+
+        for g in dict.fromkeys(gen_images):
+            col = tuple(row[g] for row in t)  # col[x] = x*g
+            for a, row in enumerate(t):
+                left = list(map(col.__getitem__, row))    # (a*b)*g
+                right = list(map(row.__getitem__, col))   # a*(b*g)
+                if left != right:
+                    b = next(b for b in range(n) if left[b] != right[b])
+                    raise GroupValidationError(
+                        f"associativity fails at triple ({a}, {b}, {g})"
+                    )
 
         if self.relators:
             for r in self.relators:
@@ -191,7 +199,8 @@ def make_cyclic(n: int, label: str) -> FiniteGroup:
     """
     if n < 1:
         raise GroupValidationError("cyclic group order must be at least 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    row = list(range(n))
+    table = [row[i:] + row[:i] for i in range(n)]  # i + j mod n
     if n == 1:
         return FiniteGroup(table, (), relators=())
     relator: GroupWord = tuple(((0, 1),) * n)
@@ -347,7 +356,7 @@ def _enumerate_presentation(
     start = find(0)
     number = {start: 0}
     bfs = [start]
-    words: dict[int, list[int]] = {start: []}
+    tree: list[tuple[int, int]] = []  # (parent number, generator) of bfs[1:]
     qi = 0
     while qi < len(bfs):
         c = bfs[qi]
@@ -356,21 +365,20 @@ def _enumerate_presentation(
             t = step(c, 2 * gi)
             if t is not None and t not in number:
                 number[t] = len(bfs)
-                words[t] = words[c] + [gi]
+                tree.append((number[c], gi))
                 bfs.append(t)
     live = [c for c in range(len(table)) if find(c) == c]
     if len(number) != len(live):
         raise GroupValidationError("generators do not reach every element")
 
-    n = len(live)
-    mult = [[0] * n for _ in range(n)]
-    for a in live:
-        for b in live:
-            cur = a
-            for gi in words[b]:
-                cur = step(cur, 2 * gi)
-            mult[number[a]][number[b]] = number[cur]
-    images = [number[step(start, 2 * gi)] for gi in range(nl)]
+    # the table column by column along the BFS tree: a*(b*g) = (a*b)*g,
+    # where x*g is one step of the complete coset table
+    right = [[number[step(c, 2 * gi)] for c in bfs] for gi in range(nl)]
+    cols = [list(range(len(bfs)))]
+    for parent, gi in tree:
+        cols.append(list(map(right[gi].__getitem__, cols[parent])))
+    mult = [list(row) for row in zip(*cols)]
+    images = [right[gi][0] for gi in range(nl)]
     return mult, images
 
 

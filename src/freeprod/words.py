@@ -63,10 +63,15 @@ class NormalWord:
 
 _TOKEN = re.compile(r"\S+")
 
+# Most letters one word may expand to; checked token by token before any
+# power is expanded, so ``a^K`` cannot allocate K letters first.
+MAX_WORD_LETTERS = 1 << 20
+
 
 def _tokens(text: str) -> list[tuple[str, int, int]]:
     """Split word text into (name, exponent, column) triples."""
     out = []
+    letters = 0
     for m in _TOKEN.finditer(text):
         tok = m.group()
         col = m.start() + 1
@@ -82,6 +87,9 @@ def _tokens(text: str) -> list[tuple[str, int, int]]:
                 raise WordSyntaxError(f"zero exponent in {tok!r}", col)
         else:
             exp = 1
+        letters += abs(exp)
+        if letters > MAX_WORD_LETTERS:
+            raise WordSyntaxError(f"word longer than {MAX_WORD_LETTERS} letters", col)
         out.append((name, exp, col))
     return out
 
@@ -90,7 +98,9 @@ def parse_word(text: str, pair: "FactorPair") -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` into a word.
 
     Powers are expanded letter by letter; negative powers become inverse
-    letters.  Empty text gives the empty word.
+    letters.  Empty text gives the empty word.  A word of more than
+    ``MAX_WORD_LETTERS`` letters is refused at the token that crosses the
+    bound, before anything is expanded.
     """
     letters: list[Letter] = []
     for name, exp, col in _tokens(text):

@@ -9,6 +9,7 @@ inside a bounded ball of normal forms.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from freeprod import FactorPair, Letter, Word
@@ -243,3 +244,53 @@ def naive_random_fold(g, rng: random.Random):
         h.remove_edge(drop)
         if t1 != t2:
             h._union(t1, t2)
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+    sxx = sum((x - mx) ** 2 for x in lx)
+    return sxy / sxx
+
+
+def associativity_failure(table) -> tuple[int, int, int] | None:
+    """First triple (a, b, c) with (ab)c != a(bc), over all n^3 triples."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def is_group_generated_by(table, images) -> bool:
+    """Reference for table validation: the table is a group (identity,
+    inverses, associativity over every triple), and the images are
+    non-identity elements that generate it."""
+    n = len(table)
+    if any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
+        return False
+    ids = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not ids:
+        return False
+    e = ids[0]
+    if not all(any(table[a][b] == e == table[b][a] for b in range(n)) for a in range(n)):
+        return False
+    if associativity_failure(table) is not None:
+        return False
+    if e in images:
+        return False
+    reached, frontier = {e}, [e]
+    while frontier:
+        x = frontier.pop()
+        for g in images:
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == n

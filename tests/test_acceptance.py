@@ -7,7 +7,6 @@ lines and the reported constants.
 import random
 import time
 
-import numpy as np
 import pytest
 
 from freeprod import (
@@ -39,6 +38,7 @@ from freeprod.words import NormalWord, inverse_word
 from helpers import (
     OracleOverflow,
     all_normal_forms,
+    loglog_slope,
     naive_random_fold,
     oracle_membership,
     random_labelled_graph,
@@ -229,7 +229,7 @@ def test_acceptance_scaling(z2z3):
         ratios.append(sg.edge_count / m)
         times.append(best)
     c = max(ratios)
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    slope = loglog_slope(sizes, times)
     assert c <= 10.0, f"edge/length ratio {c:.2f} is not a modest constant"
     assert slope <= 2.3, f"runtime log-log slope {slope:.2f} exceeds quadratic"
     print(
@@ -255,10 +255,29 @@ def test_acceptance_decompose_scaling(z2z3):
             decompose(sg)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    slope = loglog_slope(sizes, times)
     assert slope <= 1.4, f"decompose log-log slope {slope:.2f} is not near linear"
     print(
         f"\nACCEPTANCE decompose-scaling: PASS (slope = {slope:.2f}, "
+        f"times = {[f'{t * 1000:.0f}ms' for t in times]})"
+    )
+
+
+def test_acceptance_factor_construction_scaling():
+    # one quadratic pass per generator; an all-triples check is cubic
+    sizes = [128, 256, 512, 1024]
+    times = []
+    for n in sizes:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            make_cyclic(n, "z")
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    slope = loglog_slope(sizes, times)
+    assert slope <= 2.4, f"make_cyclic log-log slope {slope:.2f} exceeds quadratic"
+    print(
+        f"\nACCEPTANCE factor-construction-scaling: PASS (slope = {slope:.2f}, "
         f"times = {[f'{t * 1000:.0f}ms' for t in times]})"
     )
 

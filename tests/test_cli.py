@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import freeprod.cli
@@ -115,7 +117,7 @@ def test_unknown_generator_in_file(tmp_path, capsys):
     p.write_text(PSL2_FILE.replace("a b a^-1 b^-1", "a c"))
     code, _, err = _run(capsys, "build", p)
     assert code == 2
-    assert "line 10, column 15" in err and "unknown generator" in err
+    assert "line 10, column 16" in err and "unknown generator" in err
 
 
 def test_malformed_file(tmp_path, capsys):
@@ -213,6 +215,42 @@ def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     assert code == 4
     assert "rebuilt graph differs" in err
     assert out.splitlines()[-1] == "verified: false"
+
+
+@pytest.mark.parametrize("flag", ["precover_ok", "reduced_ok"])
+@pytest.mark.parametrize("command", ["build", "present"])
+def test_uncertified_graph_exits_4(psl2_file, capsys, monkeypatch, command, flag):
+    code, record, _ = _run(capsys, command, psl2_file)
+    assert code == 0
+    real = freeprod.cli.subgroup_graph
+    monkeypatch.setattr(
+        freeprod.cli,
+        "subgroup_graph",
+        lambda gens, pair: dataclasses.replace(real(gens, pair), **{flag: False}),
+    )
+    monkeypatch.setattr(freeprod.cli, "verify", lambda d, sg: pytest.fail("verify ran"))
+    code, out, err = _run(capsys, command, psl2_file)
+    assert code == 4
+    if command == "build" and flag == "reduced_ok":
+        record = record.replace("reduced: true", "reduced: false")  # the record shows the flag
+    assert out == record
+    assert len(err.splitlines()) == 1 and err.startswith("certification failed: ")
+
+
+def test_huge_power_in_a_subgroup_generator(tmp_path, capsys):
+    p = tmp_path / "huge.fp"
+    p.write_text(PSL2_FILE.replace("b a b a b a", "b a^100000000000"))
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert "line 10, column 31" in err and "longer than" in err
+
+
+def test_huge_power_in_a_relator(tmp_path, capsys):
+    p = tmp_path / "huge.fp"
+    p.write_text(S3_FILE.replace("t^3", "t^100000000000"))
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert "line 4, column 17" in err and "longer than" in err
 
 
 def test_table_factor(tmp_path, capsys):

@@ -1,7 +1,15 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import freeprod
 from freeprod import (
     CapExceededError,
     FiniteGroup,
@@ -18,7 +26,12 @@ from freeprod import (
     trace,
 )
 
-from helpers import groups_isomorphic, subgroups_of, table_invariant
+from helpers import (
+    groups_isomorphic,
+    is_group_generated_by,
+    subgroups_of,
+    table_invariant,
+)
 
 KLEIN = [[i ^ j for j in range(4)] for i in range(4)]
 
@@ -69,6 +82,102 @@ def test_from_table_associativity_witness():
     bad[1][2] = 0  # identity/inverse checks still pass, associativity breaks
     with pytest.raises(GroupValidationError, match="associativity.*triple"):
         from_table(bad, [("x", 1), ("y", 2)])
+
+
+def test_cap_is_checked_before_any_row_is_read():
+    class Unreadable:
+        def __iter__(self):
+            raise AssertionError("a row was read before the cap check")
+
+    with pytest.raises(GroupValidationError, match="exceeds cap 3"):
+        FiniteGroup([Unreadable()] * 4, [("x", 1)], cap=3)
+
+
+def _generated_table(gens, mul, identity):
+    """Multiplication table of the group ``gens`` generate under ``mul``,
+    elements numbered by BFS from the identity, plus the generator ids."""
+    elems, index = [identity], {identity: 0}
+    for x in elems:
+        for g in gens:
+            y = mul(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return [[index[mul(a, b)] for b in elems] for a in elems], [index[g] for g in gens]
+
+
+def _perm_mul(p, q):
+    return tuple(q[i] for i in p)
+
+
+def _quaternion_mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+# tables built without the library, each with a standard generating set
+_SMALL_GROUPS = {
+    **{f"Z{n}": _generated_table([1], lambda a, b, n=n: (a + b) % n, 0) for n in range(2, 7)},
+    "Klein": _generated_table([(1, 0), (0, 1)], lambda a, b: (a[0] ^ b[0], a[1] ^ b[1]), (0, 0)),
+    "S3": _generated_table([(1, 0, 2), (1, 2, 0)], _perm_mul, (0, 1, 2)),
+    "D4": _generated_table([(1, 2, 3, 0), (0, 3, 2, 1)], _perm_mul, (0, 1, 2, 3)),
+    "Q8": _generated_table([(0, 1, 0, 0), (0, 0, 1, 0)], _quaternion_mul, (1, 0, 0, 0)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_table_validation_agrees_with_exhaustive_reference(data):
+    # one or two entries set to a random value (possibly the one already
+    # there), and either the standard generators or a random set of ids
+    table, standard = _SMALL_GROUPS[data.draw(st.sampled_from(sorted(_SMALL_GROUPS)))]
+    n = len(table)
+    table = [list(row) for row in table]
+    entry = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 2))):
+        table[data.draw(entry)][data.draw(entry)] = data.draw(entry)
+    images = data.draw(
+        st.one_of(st.just(standard), st.lists(entry, min_size=1, max_size=3, unique=True))
+    )
+    gens = [(f"g{k}", img) for k, img in enumerate(images)]
+    try:
+        from_table(table, gens)
+    except GroupValidationError as exc:
+        assert not is_group_generated_by(table, images), str(exc)
+        witness = re.search(r"triple \((\d+), (\d+), (\d+)\)", str(exc))
+        if witness:
+            a, b, c = map(int, witness.groups())
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+    else:
+        assert is_group_generated_by(table, images)
+
+
+_IMPORTS_OF_FREEPROD = """
+import sys
+before = set(sys.modules)
+import freeprod
+new = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(sorted(new - set(sys.stdlib_module_names) - {"freeprod"}))
+"""
+
+
+def test_import_pulls_in_only_the_standard_library():
+    # the runtime has no dependencies: no array library comes in with it
+    src = str(Path(freeprod.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_OF_FREEPROD],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 
 
 def test_from_table_nongenerating():

@@ -16,6 +16,9 @@ from freeprod import (
     syllable_length,
 )
 
+from freeprod.fingroup import parse_group_word
+from freeprod.words import MAX_WORD_LETTERS
+
 from helpers import nf_of_word
 
 
@@ -34,6 +37,22 @@ def test_parse_power_expansion(z2z3):
     w = parse_word("b^-2", z2z3)
     assert w == (Letter(2, 0, -1), Letter(2, 0, -1))
     assert parse_word("b^3", z2z3) == (Letter(2, 0, 1),) * 3
+
+
+def test_word_bound_applies_before_expansion(z2z3):
+    with pytest.raises(WordSyntaxError, match="longer than") as info:
+        parse_word("a b^100000000000", z2z3)
+    assert info.value.column == 3
+    with pytest.raises(WordSyntaxError, match="longer than") as info:
+        parse_group_word("x x^-100000000000", ("x",))
+    assert info.value.column == 3
+    # the running count decides, at the token that crosses the bound
+    half = MAX_WORD_LETTERS // 2
+    assert len(parse_word(f"a^{half} b^-{half}", z2z3)) == MAX_WORD_LETTERS
+    text = f"a^{half} b^-{half} a"
+    with pytest.raises(WordSyntaxError, match="longer than") as info:
+        parse_word(text, z2z3)
+    assert info.value.column == len(text)
 
 
 def test_parse_errors(z2z3):
