@@ -220,7 +220,6 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
 class Problem:
     pair: FactorPair
     generators: tuple[Word, ...]
-    generator_texts: tuple[str, ...]
 
 
 def load_problem(path: str | Path, cap: int | None = None) -> Problem:
@@ -254,7 +253,6 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
     pair = FactorPair(g1, g2)
 
     words: list[Word] = []
-    texts: list[str] = []
     sub = sections.get("subgroup")
     if sub is not None:
         got = sub.get("generators")
@@ -263,8 +261,7 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
             if value:
                 items = _split_list(value, line, col)
                 words = _parse_items(items, line, lambda w: parse_word(w, pair))
-                texts = [item for item, _ in items]
-    return Problem(pair=pair, generators=tuple(words), generator_texts=tuple(texts))
+    return Problem(pair=pair, generators=tuple(words))
 
 
 def _display(w: Word, pair: FactorPair) -> str:
@@ -282,12 +279,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _certified(sg) -> int:
     """Exit code for a record built on ``sg``: EXIT_VERIFY, with the reason
     on stderr, unless it was certified as a reduced precover."""
-    if not sg.precover_ok:
-        reason = "the subgroup graph is not a precover"
-    elif not sg.reduced_ok:
-        reason = "the precover is not reduced"
-    else:
+    if sg.precover_ok and sg.reduced_ok:
         return EXIT_OK
+    reason = sg.reason or (
+        "the precover is not reduced" if sg.precover_ok else "the subgroup graph is not a precover"
+    )
     print(f"certification failed: {reason}", file=sys.stderr)
     return EXIT_VERIFY
 

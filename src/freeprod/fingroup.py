@@ -421,18 +421,45 @@ def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:
     return g
 
 
+def _element(group: FiniteGroup, letter: Letter) -> int:
+    img = group.generators[letter.gen][1]
+    return img if letter.sign > 0 else group.inv(img)
+
+
+def _letters_at(g: LabeledGraph, u: int, factor: int | None, nletters: int) -> list[int]:
+    """The half-edges at ``u`` of ``factor`` (of any factor when None);
+    raises unless they carry exactly ``nletters`` distinct letters."""
+    out = [e for e in g.half_edges(u) if factor is None or g.label(e).factor == factor]
+    if len(out) != nletters or len({g.label(e) for e in out}) != nletters:
+        raise ValueError(f"cover is not saturated at vertex {u}")
+    return out
+
+
 def _tree_elements(
-    g: LabeledGraph, tree: SpanningTree, group: FiniteGroup
+    g: LabeledGraph, tree: SpanningTree, group: FiniteGroup, factor: int
 ) -> dict[int, int]:
-    """Evaluate every tree path as a group element, walking in BFS order."""
+    """Evaluate every tree path in BFS order, checking each vertex's letters."""
     elem = {tree.root: group.identity}
-    for v in tree.order[1:]:
-        e = tree.parent_edge[v]
-        letter = g.label(e)
-        img = group.generators[letter.gen][1]
-        x = img if letter.sign > 0 else group.inv(img)
-        elem[v] = group.mult(elem[g.init(e)], x)
+    for v in tree.order:
+        _letters_at(g, v, factor, 2 * len(group.generators))
+        if v != tree.root:
+            e = tree.parent_edge[v]
+            elem[v] = group.mult(elem[g.init(e)], _element(group, g.label(e)))
     return elem
+
+
+def _schreier_closure(
+    g: LabeledGraph, group: FiniteGroup, elem: dict[int, int], edges
+) -> frozenset[int]:
+    """The Schreier rule: the subgroup generated by t_u * x * t_w^-1 over the
+    non-tree edges u -x-> w given, where ``elem[u]`` is the tree element t_u."""
+    mult = group.mult
+    gens = {
+        mult(mult(elem[g.init(e)], _element(group, g.label(e))), group.inv(elem[g.term(e)]))
+        for e in edges
+    }
+    gens.discard(group.identity)
+    return group.closure(gens)
 
 
 def schreier_stabilizer(
@@ -443,36 +470,33 @@ def schreier_stabilizer(
 ) -> frozenset[int]:
     """The subgroup of ``group`` read along loops at ``v`` in a cover.
 
-    Standard Schreier generators over a spanning tree: one element
-    t_u * x * t_w^-1 per non-tree edge, closed under the group operations.
+    One breadth-first pass checks each vertex's letters as it is dequeued,
+    evaluates the tree elements t_u and keeps the other half-edges for
+    ``_schreier_closure``; the loop subgroup does not depend on the tree.
     The graph (or the selected component) must be saturated.
     """
     v = c.find(v)
-    if within is not None:
-        verts = within.vertices
-        scope = set(within.edges)
-    else:
-        verts = frozenset(c.vertices())
-        scope = set(c.edges())
+    factor = None if within is None else within.factor
+    verts = frozenset(c.vertices()) if within is None else within.vertices
     if v not in verts:
         raise ValueError(f"vertex {v} is not in the cover")
     nletters = 2 * len(group.generators)
-    for u in sorted(verts):
-        live = [e for e in c.half_edges(u) if (e & ~1) in scope]
-        if len(live) != nletters or len({c.label(e) for e in live}) != nletters:
-            raise ValueError(f"cover is not saturated at vertex {u}")
-    tree = spanning_tree(c, v, within)
-    elem = _tree_elements(c, tree, group)
-    gens = []
-    for e in sorted(scope):
-        if e in tree.geo_edges:
-            continue
-        letter = c.label(e)
-        img = group.generators[letter.gen][1]
-        x = img if letter.sign > 0 else group.inv(img)
-        s = group.mult(group.mult(elem[c.init(e)], x), group.inv(elem[c.term(e)]))
-        gens.append(s)
-    return group.closure(gens)
+    elem = {v: group.identity}
+    via = {v: -1}   # the tree half-edge entering each vertex
+    rest: list[int] = []
+    queue = [v]
+    for u in queue:
+        for e in _letters_at(c, u, factor, nletters):
+            w = c.term(e)
+            if w not in elem:
+                elem[w] = group.mult(elem[u], _element(group, c.label(e)))
+                via[w] = e
+                queue.append(w)
+            elif e ^ 1 != via[u]:
+                rest.append(e)
+    for u in sorted(verts.difference(elem)):   # the rest of a disconnected graph
+        _letters_at(c, u, factor, nletters)
+    return _schreier_closure(c, group, elem, rest)
 
 
 @dataclass(frozen=True)
@@ -549,7 +573,6 @@ def reidemeister_schreier(
 
     cg = coset_graph(group, sub, factor=factor)
     tree = spanning_tree(cg, cg.basepoint)
-    elem = _tree_elements(cg, tree, group)
 
     sym_of: dict[int, str] = {}
     aliases: dict[str, Word] = {}

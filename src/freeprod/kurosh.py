@@ -19,8 +19,9 @@ from .fingroup import (
     FactorPair,
     Presentation,
     _group_word_to_letters,
+    _schreier_closure,
+    _tree_elements,
     reidemeister_schreier,
-    schreier_stabilizer,
 )
 from .lgraph import (
     InvariantError,
@@ -116,11 +117,12 @@ def basic_step(g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair) -> f
     v = g.find(v)
     if v not in c.vertices:
         raise ValueError(f"vertex {v} is not in the component")
-    stab = schreier_stabilizer(g, v, pair.factor(c.factor), within=c)
+    group = pair.factor(c.factor)
     tree = spanning_tree(g, v, within=c)
-    for e in c.edges:
-        if e not in tree.geo_edges:
-            g.remove_edge(e)
+    cut = [e for e in c.edges if e not in tree.geo_edges]
+    stab = _schreier_closure(g, group, _tree_elements(g, tree, group, c.factor), cut)
+    for e in cut:
+        g.remove_edge(e)
     return stab
 
 
@@ -178,10 +180,11 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
                 basepoint=v,
             )
         )
-    for comp in components(g):
-        if len(comp.edges) != len(comp.vertices) - 1:
-            raise InvariantError("a non-tree monochromatic component survived the basic steps")
-    d = KuroshDecomposition(tuple(factors), tuple(free_basis(g, sg.graph.basepoint)), g)
+    try:
+        basis = free_basis(g, sg.graph.basepoint)
+    except ValueError as exc:
+        raise InvariantError(f"a non-tree component survived the basic steps: {exc}") from exc
+    d = KuroshDecomposition(tuple(factors), tuple(basis), g)
     if not all(contains(sg, w) for w in _emitted_words(d, pair)):
         raise InvariantError("an emitted generator fell outside the subgroup")
     return d

@@ -5,6 +5,7 @@ other and carry inverse labels.  Vertices live in a union-find so that
 folding (identifying two edges with the same initial vertex and label)
 is a sequence of cheap merges; deleted vertices and edges keep their ids
 and are flagged dead, which keeps ids stable across the whole pipeline.
+A deleted edge leaves the adjacency lists at once: they hold live edges only.
 """
 
 from __future__ import annotations
@@ -130,20 +131,13 @@ class LabeledGraph:
         return e if self._elabel[e].sign > 0 else e ^ 1
 
     def half_edges(self, v: int) -> list[int]:
-        v = self.find(v)
-        es = self._out.get(v)
-        if es is None:
-            return []
-        live = [e for e in es if self._ealive[e]]
-        if len(live) != len(es):
-            self._out[v] = live
-        return live
+        return list(self._out[self.find(v)])
 
     def degree(self, v: int) -> int:
-        return len(self.half_edges(v))
+        return len(self._out[self.find(v)])
 
     def out_edge(self, v: int, letter: Letter) -> int | None:
-        for e in self.half_edges(v):
+        for e in self._out[self.find(v)]:
             if self._elabel[e] == letter:
                 return e
         return None
@@ -157,7 +151,7 @@ class LabeledGraph:
     def is_well_labelled(self) -> bool:
         for v in self.vertices():
             seen = set()
-            for e in self.half_edges(v):
+            for e in self._out[v]:
                 l = self._elabel[e]
                 if l in seen:
                     return False
@@ -172,7 +166,7 @@ class LabeledGraph:
         stack = [verts[0]]
         while stack:
             v = stack.pop()
-            for e in self.half_edges(v):
+            for e in self._out[v]:
                 w = self.term(e)
                 if w not in seen:
                     seen.add(w)
@@ -182,8 +176,13 @@ class LabeledGraph:
     # -- deletion ---------------------------------------------------------
 
     def remove_edge(self, e: int) -> None:
-        self._ealive[e & ~1] = False
-        self._ealive[e | 1] = False
+        """Delete e's geometric edge; a dead edge is left alone.  ``list.remove``
+        keeps the other half-edges in order, so fold order and ids stay put."""
+        if not self._ealive[e]:
+            return
+        for h in (e & ~1, e | 1):
+            self._ealive[h] = False
+            self._out[self.find(self._einit[h])].remove(h)
 
     def remove_vertex(self, v: int) -> None:
         """Delete a vertex; its incident edges must already be gone."""
@@ -211,7 +210,7 @@ class LabeledGraph:
                 scanning = False
                 v = self.find(v)
                 slots: dict[Letter, int] = {}
-                for e in self.half_edges(v):
+                for e in self._out[v]:   # the scan stops at the first fold
                     l = self._elabel[e]
                     other = slots.get(l)
                     if other is None:
@@ -353,42 +352,40 @@ def classify_vertices(g: LabeledGraph) -> dict[int, str]:
 
 
 def components(g: LabeledGraph) -> list[MonoComponent]:
-    """Monochromatic components, ordered by (smallest vertex, factor)."""
-    classes = classify_vertices(g)
+    """Monochromatic components, ordered by (smallest vertex, factor): walks
+    start at the vertices in increasing order and mark bichromatic vertices."""
+    out, label = g._out, g._elabel
+    seen: dict[int, set[int]] = {1: set(), 2: set()}
     comps: list[MonoComponent] = []
-    for factor in (1, 2):
-        seen: set[int] = set()
-        for start in g.vertices():
-            if start in seen:
-                continue
-            edges_here = [e for e in g.half_edges(start) if g.label(e).factor == factor]
-            if not edges_here:
+    for start in g.vertices():
+        for factor in (1, 2):
+            if start in seen[factor] or all(label[e].factor != factor for e in out[start]):
                 continue
             verts = {start}
             geo: set[int] = set()
+            vb: set[int] = set()
             stack = [start]
             while stack:
                 v = stack.pop()
-                for e in g.half_edges(v):
-                    if g.label(e).factor != factor:
+                for e in out[v]:
+                    if label[e].factor != factor:
+                        vb.add(v)
                         continue
                     geo.add(e & ~1)
                     w = g.term(e)
                     if w not in verts:
                         verts.add(w)
                         stack.append(w)
-            seen |= verts
-            vb = frozenset(v for v in verts if classes[v] == "VB")
+            seen[factor] |= verts
             comps.append(
                 MonoComponent(
                     factor=factor,
                     vertices=frozenset(verts),
                     edges=tuple(sorted(geo)),
-                    vb=vb,
-                    vm=frozenset(verts) - vb,
+                    vb=frozenset(vb),
+                    vm=frozenset(verts - vb),
                 )
             )
-    comps.sort(key=lambda c: (c.min_vertex, c.factor))
     return comps
 
 
@@ -407,11 +404,7 @@ def spanning_tree(
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        out = [
-            e
-            for e in g.half_edges(v)
-            if scope is None or (e & ~1) in scope
-        ]
+        out = [e for e in g._out[v] if scope is None or (e & ~1) in scope]
         out.sort(key=lambda e: (letter_key(g.label(e)), e))
         for e in out:
             w = g.term(e)

@@ -37,26 +37,29 @@ class Verdict(NamedTuple):
 def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str | None:
     """Why a monochromatic component is not a cover of its factor, or None.
 
-    First saturation, vertex by vertex.  Saturation alone is not enough: a
-    component can be saturated yet fail to be based on the factor (a cycle
-    of the wrong length, say).  Let S be the loop subgroup at a vertex v and
-    t_u the element read along the spanning tree path from v to u.  Every
-    edge u -x-> w has t_u x t_w^-1 in S, so u -> S t_u maps the saturated,
-    well-labelled component onto the coset graph of S, bijectively on the
-    edges at each vertex: a covering of degree |V| / [G:S].  The component
-    is the coset graph exactly when that degree is one, that is when
-    |V| * |S| = |G|.
+    One pass of ``schreier_stabilizer`` checks saturation and reads the
+    loop subgroup (a sorted scan names a missing letter on failure).
+    Saturation alone is not enough: a component can be saturated yet fail
+    to be based on the factor (a cycle of the wrong length, say).  Let S be
+    the loop subgroup at a vertex v and t_u the element read along the
+    spanning tree path from v to u.  Every edge u -x-> w has t_u x t_w^-1
+    in S, so u -> S t_u maps the saturated, well-labelled component onto
+    the coset graph of S, bijectively on the edges at each vertex: a
+    covering of degree |V| / [G:S].  The component is the coset graph
+    exactly when that degree is one, that is when |V| * |S| = |G|.
     """
-    letters = pair.letters(comp.factor)
-    for v in sorted(comp.vertices):
-        for letter in letters:
-            if g.out_edge(v, letter) is None:
-                return (
-                    f"is not saturated: vertex {v} has no edge labelled "
-                    f"{pair.letter_name(letter)}"
-                )
     group = pair.factor(comp.factor)
-    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    try:
+        stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    except ValueError:
+        for v in sorted(comp.vertices):
+            for letter in pair.letters(comp.factor):
+                if g.out_edge(v, letter) is None:
+                    return (
+                        f"is not saturated: vertex {v} has no edge labelled "
+                        f"{pair.letter_name(letter)}"
+                    )
+        raise
     if len(comp.vertices) * len(stab) != group.order:
         return "is saturated but is not a cover"
     return None
@@ -81,9 +84,10 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
     """
     h = g.copy()
     sweeps = 0
-    limit = len(components(h)) + 2
+    comps = components(h)
+    limit = len(comps) + 2
     while True:
-        bad = [comp for comp in components(h) if not component_is_cover(h, comp, pair)]
+        bad = [comp for comp in comps if not component_is_cover(h, comp, pair)]
         if not bad:
             return h
         sweeps += 1
@@ -103,12 +107,10 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
                     )
             # identify the copy's identity with the edge's initial vertex and
             # the two copies of the edge; folding finishes the identification
-            letter = h.label(e)
-            img = group.generators[letter.gen][1]
-            elem = img if letter.sign > 0 else group.inv(img)
             seeds.append(h._union(h.init(e), base + group.identity))
-            seeds.append(h._union(h.term(e), h.find(base + elem)))
+            seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
         h._fold_inplace(seeds=seeds)
+        comps = components(h)
 
 
 def _redundant(comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
@@ -147,8 +149,9 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
     h = g.copy()
     v0 = h.find(v0)
     while True:
+        comps = components(h)
         victim = next(
-            (c for c in components(h) if _redundant(c, v0, pair) and component_is_cover(h, c, pair)),
+            (c for c in comps if _redundant(c, v0, pair) and component_is_cover(h, c, pair)),
             None,
         )
         if victim is None:
@@ -159,7 +162,6 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
         for v in sorted(victim.vertices):
             if v not in keep:
                 h.remove_vertex(v)
-    comps = components(h)
     if _collapses(h, comps, pair) and component_is_cover(h, comps[0], pair):
         for e in comps[0].edges:
             h.remove_edge(e)
@@ -179,6 +181,7 @@ class SubgroupGraph:
     total_length: int
     precover_ok: bool
     reduced_ok: bool
+    reason: str | None = None   # why the first failed check (precover, reduced) failed
 
     @property
     def vertex_count(self) -> int:
@@ -198,13 +201,15 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     g = prune_redundant(g, g.basepoint, pair)
     comps = components(g)
     pre = _precover(g, comps, pair)
+    red = _reduced(g, comps, g.basepoint, pair) if pre.ok else pre
     return SubgroupGraph(
         graph=g,
         pair=pair,
         generators=gens,
         total_length=sum(len(w) for w in gens),
         precover_ok=pre.ok,
-        reduced_ok=pre.ok and _reduced(g, comps, g.basepoint, pair).ok,
+        reduced_ok=red.ok,
+        reason=red.reason,
     )
 
 

@@ -294,3 +294,88 @@ def is_group_generated_by(table, images) -> bool:
                 reached.add(y)
                 frontier.append(y)
     return len(reached) == n
+
+
+def reference_components(g):
+    """Monochromatic components as first written: tag every vertex with its
+    colours in one pass, then walk each factor's components separately."""
+    from freeprod import MonoComponent
+
+    colours = {v: {g.label(e).factor for e in g.half_edges(v)} for v in g.vertices()}
+    comps = []
+    for factor in (1, 2):
+        seen = set()
+        for start in g.vertices():
+            if start in seen or factor not in colours[start]:
+                continue
+            verts, geo, stack = {start}, set(), [start]
+            while stack:
+                v = stack.pop()
+                for e in g.half_edges(v):
+                    if g.label(e).factor != factor:
+                        continue
+                    geo.add(e & ~1)
+                    w = g.term(e)
+                    if w not in verts:
+                        verts.add(w)
+                        stack.append(w)
+            seen |= verts
+            vb = frozenset(v for v in verts if len(colours[v]) == 2)
+            comps.append(
+                MonoComponent(factor, frozenset(verts), tuple(sorted(geo)), vb, frozenset(verts) - vb)
+            )
+    comps.sort(key=lambda c: (c.min_vertex, c.factor))
+    return comps
+
+
+def reference_stabilizer(g, v, group, comp=None):
+    """Loop subgroup at v as first written: check every vertex's letters
+    in sorted order, build a BFS spanning tree expanding edges in letter
+    order, then close the Schreier generators of the non-tree edges."""
+    v = g.find(v)
+    verts = comp.vertices if comp is not None else frozenset(g.vertices())
+    scope = set(comp.edges) if comp is not None else set(g.edges())
+    if v not in verts:
+        raise ValueError(f"vertex {v} is not in the cover")
+    nletters = 2 * len(group.generators)
+    for u in sorted(verts):
+        live = [e for e in g.half_edges(u) if (e & ~1) in scope]
+        if len(live) != nletters or len({g.label(e) for e in live}) != nletters:
+            raise ValueError(f"cover is not saturated at vertex {u}")
+
+    def element(letter):
+        img = group.generators[letter.gen][1]
+        return img if letter.sign > 0 else group.inv(img)
+
+    elem, tree, queue = {v: group.identity}, set(), [v]
+    for u in queue:
+        out = sorted(
+            (e for e in g.half_edges(u) if (e & ~1) in scope),
+            key=lambda e: (g.label(e).factor, g.label(e).gen, -g.label(e).sign, e),
+        )
+        for e in out:
+            w = g.term(e)
+            if w not in elem:
+                elem[w] = group.mult(elem[u], element(g.label(e)))
+                tree.add(e & ~1)
+                queue.append(w)
+    gens = [
+        group.mult(group.mult(elem[g.init(e)], element(g.label(e))), group.inv(elem[g.term(e)]))
+        for e in sorted(scope)
+        if e not in tree
+    ]
+    return group.closure(gens)
+
+
+def reference_cover_defect(g, comp, pair):
+    """Why a component is not a cover, as first written: a sorted scan for
+    a missing letter, then the count |V| * |S| = |G|."""
+    for v in sorted(comp.vertices):
+        for letter in pair.letters(comp.factor):
+            if g.out_edge(v, letter) is None:
+                return f"is not saturated: vertex {v} has no edge labelled {pair.letter_name(letter)}"
+    group = pair.factor(comp.factor)
+    stab = reference_stabilizer(g, comp.min_vertex, group, comp)
+    if len(comp.vertices) * len(stab) != group.order:
+        return "is saturated but is not a cover"
+    return None

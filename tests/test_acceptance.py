@@ -6,9 +6,11 @@ lines and the reported constants.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
+import freeprod
 from freeprod import (
     LabeledGraph,
     Letter,
@@ -103,25 +105,24 @@ def test_acceptance_membership_oracle(z2z3, z4z6):
     rng = random.Random(4096)
     cases = []
     for gens in random_subgroups(rng, z2z3, 14, max_len=8):
-        cases.append((z2z3, gens, 16))
+        cases.append((z2z3, gens, oracle_membership(gens, z2z3, query_len=6, work_len=16)))
     accepted = 0
     attempts = 0
     while accepted < 8 and attempts < 60:
         attempts += 1
         gens = random_subgroups(rng, z4z6, 1, max_len=8)[0]
         try:
-            oracle_membership(gens, z4z6, query_len=6, work_len=8)
+            member = oracle_membership(gens, z4z6, query_len=6, work_len=8)
         except OracleOverflow:
             continue  # resampled: the bounded oracle cannot settle this one
-        cases.append((z4z6, gens, 8))
+        cases.append((z4z6, gens, member))
         accepted += 1
     assert accepted == 8, "could not assemble the second half of the corpus"
     assert len(cases) >= 20
 
     disagreements = 0
     queries = 0
-    for pair, gens, work in cases:
-        member = oracle_membership(gens, pair, query_len=6, work_len=work)
+    for pair, gens, member in cases:
         sg = subgroup_graph(gens, pair)
         for nf in all_normal_forms(pair, 6):
             want = nf in member
@@ -260,6 +261,41 @@ def test_acceptance_decompose_scaling(z2z3):
     print(
         f"\nACCEPTANCE decompose-scaling: PASS (slope = {slope:.2f}, "
         f"times = {[f'{t * 1000:.0f}ms' for t in times]})"
+    )
+
+
+def test_acceptance_work_counts(z2z3, monkeypatch):
+    # counts of whole-graph scans and spanning trees on the first seed-777
+    # problem at m = 800: unlike the wall-time gates, host speed cannot move them
+    rng = random.Random(777)
+    gens = [_conjugate_generator(rng, z2z3, (800 - 26) // 2), _conjugate_generator(rng, z2z3, 12)]
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # the modules import these by name, so every binding is wrapped
+    for mod in (freeprod.lgraph, freeprod.fingroup, freeprod.precover, freeprod.kurosh):
+        for name in ("components", "spanning_tree", "basic_step"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    sg = subgroup_graph(gens, z2z3)
+    build = counts.copy()
+    counts.clear()
+    decompose(sg)
+    assert build["components"] <= 4, f"{build['components']} component scans per build"
+    assert counts["components"] <= 2, f"{counts['components']} component scans per decompose"
+    assert counts["spanning_tree"] == counts["basic_step"] + 2, (
+        f"{counts['spanning_tree']} spanning trees for {counts['basic_step']} basic steps"
+    )
+    print(
+        f"\nACCEPTANCE work-counts: PASS (components {build['components']} per build, "
+        f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
+        f"for {counts['basic_step']} basic steps)"
     )
 
 

@@ -237,6 +237,29 @@ def test_uncertified_graph_exits_4(psl2_file, capsys, monkeypatch, command, flag
     assert len(err.splitlines()) == 1 and err.startswith("certification failed: ")
 
 
+@pytest.mark.parametrize(
+    "command, stage, generators, reason",
+    [
+        ("build", "saturate", "a b a^-1 b^-1, b a b a b a",
+         "component 0 (factor 1) is not saturated: vertex 1 has no edge labelled a"),
+        ("build", "prune_redundant", "b^3",
+         "whole graph is a lone factor Cayley graph; it collapses to the basepoint"),
+        ("present", "prune_redundant", "b^3",
+         "whole graph is a lone factor Cayley graph; it collapses to the basepoint"),
+    ],
+)
+def test_certification_failure_names_the_reason(
+    tmp_path, capsys, monkeypatch, command, stage, generators, reason
+):
+    # skipping a pipeline stage leaves a graph that really fails certification
+    monkeypatch.setattr(freeprod.precover, stage, lambda g, *rest: g)
+    p = tmp_path / "skip.fp"
+    p.write_text(PSL2_FILE.replace("a b a^-1 b^-1, b a b a b a", generators))
+    code, out, err = _run(capsys, command, p)
+    assert code == 4 and out
+    assert err == f"certification failed: {reason}\n"
+
+
 def test_huge_power_in_a_subgroup_generator(tmp_path, capsys):
     p = tmp_path / "huge.fp"
     p.write_text(PSL2_FILE.replace("b a b a b a", "b a^100000000000"))

@@ -8,11 +8,16 @@ from freeprod import (
     FactorPair,
     LabeledGraph,
     Letter,
+    basic_step,
+    bouquet,
     cayley_graph,
     component_is_cover,
     components,
     contains,
     coset_graph,
+    cut_hairs,
+    dump,
+    fold_all,
     from_presentation,
     index_if_finite,
     is_precover,
@@ -27,7 +32,15 @@ from freeprod import (
     subgroup_graph,
 )
 
-from helpers import all_normal_forms, oracle_membership, random_subgroups
+from freeprod.precover import _cover_defect
+from helpers import (
+    all_normal_forms,
+    oracle_membership,
+    random_subgroups,
+    reference_components,
+    reference_cover_defect,
+    reference_stabilizer,
+)
 
 X = Letter(1, 0, 1)
 Y = Letter(2, 0, 1)
@@ -345,3 +358,52 @@ def test_cover_count_agrees_with_coset_graph_isomorphism(data):
             g.add_edge(v, w, Letter(1, gi, 1))
     comp = next(c for c in components(g) if 0 in c.vertices)
     assert component_is_cover(g, comp, pair) == _is_coset_graph(g, comp, pair)
+
+
+_READ_PAIRS = {
+    "Z2*Z3": FactorPair(make_cyclic(2, "a"), make_cyclic(3, "b")),
+    "Z4*Z6": FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y")),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_readers_agree_with_references(data):
+    # a graph from some stage of the pipeline, then a few edges deleted so
+    # that components split and covers lose letters
+    pair = _READ_PAIRS[data.draw(st.sampled_from(sorted(_READ_PAIRS)))]
+    word = st.lists(st.sampled_from(pair.all_letters()), min_size=1, max_size=8)
+    gens = data.draw(st.lists(word, min_size=1, max_size=4))
+    stage = data.draw(st.sampled_from(("folded", "hair-cut", "saturated", "pruned")))
+    g = fold_all(bouquet([tuple(w) for w in gens], pair))
+    if stage != "folded":
+        g = cut_hairs(g)
+    if stage in ("saturated", "pruned"):
+        g = saturate(g, pair)
+    if stage == "pruned":
+        g = prune_redundant(g, g.basepoint, pair)
+    edges = g.edges()
+    dead = data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)) if edges else []
+    for e in dead:
+        g.remove_edge(data.draw(st.sampled_from((e, e ^ 1))))
+    before = dump(g, pair)
+    for e in dead:
+        g.remove_edge(e)
+        g.remove_edge(e ^ 1)
+    assert dump(g, pair) == before
+    halves = sorted(e for v in g.vertices() for e in g.half_edges(v))
+    assert halves == sorted(h for e in g.edges() for h in (e, e ^ 1))
+
+    comps = components(g)
+    assert comps == reference_components(g)
+    for comp in comps:
+        why = _cover_defect(g, comp, pair)
+        assert why == reference_cover_defect(g, comp, pair)
+        if why is not None and "not saturated" in why:
+            continue
+        group = pair.factor(comp.factor)
+        for v in comp.vertices:
+            stab = reference_stabilizer(g, v, group, comp)
+            assert schreier_stabilizer(g, v, group, within=comp) == stab
+            if why is None:
+                assert basic_step(g.copy(), comp, v, pair) == stab
