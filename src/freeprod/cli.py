@@ -40,7 +40,7 @@ from .fingroup import (
     parse_group_word,
 )
 from .kurosh import decompose, presentation, verify
-from .lgraph import components, to_dot
+from .lgraph import InvariantError, components, to_dot
 from .precover import contains, index_if_finite, subgroup_graph
 from .words import Word, WordSyntaxError, normal_to_word, normalize, parse_word, render_word
 
@@ -322,12 +322,14 @@ def cmd_member(args) -> int:
         f"member: {'true' if member else 'false'}",
     ]
     _emit(lines, args.out)
-    return EXIT_OK if member else EXIT_NONMEMBER
+    return _certified(sg) or (EXIT_OK if member else EXIT_NONMEMBER)
 
 
 def cmd_kurosh(args) -> int:
     problem = load_problem(args.file, args.cap)
     sg = subgroup_graph(problem.generators, problem.pair)
+    if _certified(sg):
+        return EXIT_VERIFY   # verification needs a certified graph to compare against
     d = decompose(sg)
     check = verify(d, sg)
     lines = [f"factors: {len(d.factors)}"]
@@ -350,7 +352,12 @@ def cmd_kurosh(args) -> int:
 def cmd_present(args) -> int:
     problem = load_problem(args.file, args.cap)
     sg = subgroup_graph(problem.generators, problem.pair)
-    d = decompose(sg)
+    try:
+        d = decompose(sg)
+    except InvariantError:
+        if sg.precover_ok and sg.reduced_ok:
+            raise
+        return _certified(sg)   # an uncertified graph that cannot be decomposed
     pres = presentation(d, problem.pair)
     lines = [f"generators: {len(pres.generators)}"]
     for s in pres.generators:

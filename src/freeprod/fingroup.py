@@ -389,13 +389,20 @@ def cayley_graph(group: FiniteGroup, factor: int = 1) -> LabeledGraph:
     two-colored graph over a FactorPair alphabet.
     """
     g = LabeledGraph()
-    for _ in range(group.order):
-        g.add_vertex()
+    _append_cayley(g, group, factor)
     g.set_basepoint(group.identity)
+    return g
+
+
+def _append_cayley(g: LabeledGraph, group: FiniteGroup, factor: int) -> int:
+    """Append a copy of the Cayley graph to ``g``; element x becomes vertex base + x."""
+    base = g.add_vertex()
+    for _ in range(group.order - 1):
+        g.add_vertex()
     for v in range(group.order):
         for gi, (_, img) in enumerate(group.generators):
-            g.add_edge(v, group.mult(v, img), Letter(factor, gi, 1))
-    return g
+            g.add_edge(base + v, base + group.mult(v, img), Letter(factor, gi, 1))
+    return base
 
 
 def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fingroup import FactorPair, schreier_stabilizer
+from .fingroup import FactorPair, _append_cayley, schreier_stabilizer
 from .lgraph import (
     InvariantError,  # re-exported: the one class every layer raises
     LabeledGraph,
@@ -23,7 +23,7 @@ from .lgraph import (
     fold_all,
     trace,
 )
-from .words import Letter, Word, normal_to_word, normalize
+from .words import Word, normal_to_word, normalize
 
 
 class Verdict(NamedTuple):
@@ -72,45 +72,33 @@ def component_is_cover(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -
 
 
 def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
-    """Complete every monochromatic component to a cover of its factor.
+    """Complete every monochromatic component of a folded graph to a cover
+    of its factor in one pass: glue a copy of the factor's Cayley graph
+    along the lowest edge of each non-cover (identity onto the edge's
+    initial vertex), then fold once.
 
-    Each sweep glues a fresh copy of the factor's Cayley graph along the
-    lowest edge of every component that is not yet a cover (identity onto
-    the edge's initial vertex) and then refolds.  Folding may merge
-    components, so the loop runs to a fixpoint; a glued component folds
-    into a quotient of the Cayley copy, which is a cover, and covers absorb
-    whatever folds into them, so the sweep count stays below the initial
-    component count.
+    The copy is saturated, so the fold drags all of the connected
+    component C into it: C ends up in a quotient of Cayley(G).  A
+    well-labelled, label-preserving quotient of Cayley(G) is the coset
+    graph of {g : g ~ 1}, because the identification is a right
+    congruence.  After the fold each component is made of images of such
+    pieces and of former covers, so every letter permutes its vertices and
+    every relator reads a closed path from each of them: it is a cover.
+    ``subgroup_graph``'s certification is the one check of this argument.
     """
     h = g.copy()
-    sweeps = 0
-    comps = components(h)
-    limit = len(comps) + 2
-    while True:
-        bad = [comp for comp in comps if not component_is_cover(h, comp, pair)]
-        if not bad:
-            return h
-        sweeps += 1
-        if sweeps > limit:
-            raise InvariantError("saturation did not converge")
-        seeds = []
-        for comp in bad:
-            e = comp.edges[0]
-            group = pair.factor(comp.factor)
-            base = len(h._parent)
-            for _ in range(group.order):
-                h.add_vertex()
-            for v in range(group.order):
-                for gi, (_, img) in enumerate(group.generators):
-                    h.add_edge(
-                        base + v, base + group.mult(v, img), Letter(comp.factor, gi, 1)
-                    )
-            # identify the copy's identity with the edge's initial vertex and
-            # the two copies of the edge; folding finishes the identification
-            seeds.append(h._union(h.init(e), base + group.identity))
-            seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
-        h._fold_inplace(seeds=seeds)
-        comps = components(h)
+    bad = [comp for comp in components(h) if not component_is_cover(h, comp, pair)]
+    seeds = []
+    for comp in bad:
+        e = comp.edges[0]
+        group = pair.factor(comp.factor)
+        base = _append_cayley(h, group, comp.factor)
+        # identify the copy's identity with the edge's initial vertex and
+        # the two copies of the edge; folding finishes the identification
+        seeds.append(h._union(h.init(e), base + group.identity))
+        seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
+    h._fold_inplace(seeds=seeds)
+    return h
 
 
 def _redundant(comp: MonoComponent, v0: int, pair: FactorPair) -> bool:

@@ -40,17 +40,18 @@ def nf_of_word(w: Word, pair: FactorPair) -> Syllables:
 
 
 def nf_mult(x: Syllables, y: Syllables, pair: FactorPair) -> Syllables:
-    out = list(x)
-    for i, e in y:
-        group = pair.factor(i)
-        if out and out[-1][0] == i:
-            merged = group.mult(out[-1][1], e)
-            out.pop()
-            if merged != group.identity:
-                out.append((i, merged))
-        else:
-            out.append((i, e))
-    return tuple(out)
+    """Product of two normal forms.  Both alternate, so syllables meet only
+    where x ends and y begins: cancel there until a merge survives or the
+    factors differ, then join the untouched slices."""
+    i, j = len(x), 0
+    while i and j < len(y) and x[i - 1][0] == y[j][0]:
+        factor = y[j][0]
+        group = pair.factor(factor)
+        merged = group.mult(x[i - 1][1], y[j][1])
+        if merged != group.identity:
+            return x[: i - 1] + ((factor, merged),) + y[j + 1 :]
+        i, j = i - 1, j + 1
+    return x[:i] + y[j:]
 
 
 def nf_inverse(x: Syllables, pair: FactorPair) -> Syllables:
@@ -379,3 +380,35 @@ def reference_cover_defect(g, comp, pair):
     if len(comp.vertices) * len(stab) != group.order:
         return "is saturated but is not a cover"
     return None
+
+
+def reference_saturate(g, pair: FactorPair):
+    """Saturation as first written: glue a Cayley copy onto every component
+    that is not a cover, fold, and repeat until every component is one."""
+    from freeprod import InvariantError, component_is_cover, components
+
+    h = g.copy()
+    sweeps = 0
+    comps = components(h)
+    limit = len(comps) + 2
+    while True:
+        bad = [comp for comp in comps if not component_is_cover(h, comp, pair)]
+        if not bad:
+            return h
+        sweeps += 1
+        if sweeps > limit:
+            raise InvariantError("saturation did not converge")
+        seeds = []
+        for comp in bad:
+            e = comp.edges[0]
+            group = pair.factor(comp.factor)
+            base = len(h._parent)
+            for _ in range(group.order):
+                h.add_vertex()
+            for v in range(group.order):
+                for gi, (_, img) in enumerate(group.generators):
+                    h.add_edge(base + v, base + group.mult(v, img), Letter(comp.factor, gi, 1))
+            seeds.append(h._union(h.init(e), base + group.identity))
+            seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
+        h._fold_inplace(seeds=seeds)
+        comps = components(h)

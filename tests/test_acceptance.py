@@ -280,20 +280,26 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
 
     # the modules import these by name, so every binding is wrapped
     for mod in (freeprod.lgraph, freeprod.fingroup, freeprod.precover, freeprod.kurosh):
-        for name in ("components", "spanning_tree", "basic_step"):
+        for name in ("components", "spanning_tree", "basic_step", "_cover_defect"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
     counts.clear()
     decompose(sg)
-    assert build["components"] <= 4, f"{build['components']} component scans per build"
+    comps = len(components(sg.graph))
+    assert build["components"] <= 3, f"{build['components']} component scans per build"
+    # one cover test per component in saturate and one in certification
+    assert build["_cover_defect"] <= 2 * comps, (
+        f"{build['_cover_defect']} cover tests per build for {comps} components"
+    )
     assert counts["components"] <= 2, f"{counts['components']} component scans per decompose"
     assert counts["spanning_tree"] == counts["basic_step"] + 2, (
         f"{counts['spanning_tree']} spanning trees for {counts['basic_step']} basic steps"
     )
     print(
         f"\nACCEPTANCE work-counts: PASS (components {build['components']} per build, "
+        f"{build['_cover_defect']} cover tests per build for {comps} components, "
         f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
         f"for {counts['basic_step']} basic steps)"
     )

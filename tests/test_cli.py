@@ -217,10 +217,15 @@ def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     assert out.splitlines()[-1] == "verified: false"
 
 
+# extra arguments per command; a generator, so that the certified answer is "member: true"
+_ARGV = {"member": ["--word", "a b a^-1 b^-1"]}
+
+
 @pytest.mark.parametrize("flag", ["precover_ok", "reduced_ok"])
-@pytest.mark.parametrize("command", ["build", "present"])
+@pytest.mark.parametrize("command", ["build", "present", "member", "kurosh"])
 def test_uncertified_graph_exits_4(psl2_file, capsys, monkeypatch, command, flag):
-    code, record, _ = _run(capsys, command, psl2_file)
+    argv = [command, psl2_file, *_ARGV.get(command, [])]
+    code, record, _ = _run(capsys, *argv)
     assert code == 0
     real = freeprod.cli.subgroup_graph
     monkeypatch.setattr(
@@ -229,19 +234,26 @@ def test_uncertified_graph_exits_4(psl2_file, capsys, monkeypatch, command, flag
         lambda gens, pair: dataclasses.replace(real(gens, pair), **{flag: False}),
     )
     monkeypatch.setattr(freeprod.cli, "verify", lambda d, sg: pytest.fail("verify ran"))
-    code, out, err = _run(capsys, command, psl2_file)
+    code, out, err = _run(capsys, *argv)
     assert code == 4
     if command == "build" and flag == "reduced_ok":
         record = record.replace("reduced: true", "reduced: false")  # the record shows the flag
+    if command == "kurosh":
+        record = ""   # kurosh neither decomposes nor verifies an uncertified graph
     assert out == record
     assert len(err.splitlines()) == 1 and err.startswith("certification failed: ")
+
+
+_UNSATURATED = "component 0 (factor 1) is not saturated: vertex 1 has no edge labelled a"
 
 
 @pytest.mark.parametrize(
     "command, stage, generators, reason",
     [
-        ("build", "saturate", "a b a^-1 b^-1, b a b a b a",
-         "component 0 (factor 1) is not saturated: vertex 1 has no edge labelled a"),
+        ("build", "saturate", "a b a^-1 b^-1, b a b a b a", _UNSATURATED),
+        ("present", "saturate", "a b a^-1 b^-1, b a b a b a", _UNSATURATED),
+        ("kurosh", "saturate", "a b a^-1 b^-1, b a b a b a", _UNSATURATED),
+        ("member", "saturate", "a b a^-1 b^-1, b a b a b a", _UNSATURATED),
         ("build", "prune_redundant", "b^3",
          "whole graph is a lone factor Cayley graph; it collapses to the basepoint"),
         ("present", "prune_redundant", "b^3",
@@ -255,9 +267,15 @@ def test_certification_failure_names_the_reason(
     monkeypatch.setattr(freeprod.precover, stage, lambda g, *rest: g)
     p = tmp_path / "skip.fp"
     p.write_text(PSL2_FILE.replace("a b a^-1 b^-1, b a b a b a", generators))
-    code, out, err = _run(capsys, command, p)
-    assert code == 4 and out
+    code, out, err = _run(capsys, command, p, *_ARGV.get(command, []))
     assert err == f"certification failed: {reason}\n"
+    assert code == 4
+    if command == "kurosh" or (command == "present" and stage == "saturate"):
+        assert out == ""   # decompose refuses the unsaturated graph; kurosh does not try
+    else:
+        assert out
+    if command == "member":
+        assert "member: false" in out   # a generator, wrongly refused by the uncertified graph
 
 
 def test_huge_power_in_a_subgroup_generator(tmp_path, capsys):

@@ -18,6 +18,7 @@ from freeprod import (
     bouquet,
     cayley_graph,
     components,
+    contains,
     decompose,
     fold_all,
     free_basis,
@@ -33,6 +34,7 @@ from freeprod import (
     verify,
 )
 
+from freeprod.kurosh import _emitted_words
 from helpers import random_subgroups
 
 
@@ -177,6 +179,12 @@ def test_verify_detects_corruption(z2z3, psl2_sg):
     bad = dataclasses.replace(good, conjugator=parse_word("b", z2z3) + good.conjugator)
     d_bad = dataclasses.replace(d, factors=(bad,))
     assert not verify(d_bad, psl2_sg).ok
+    # a dropped factor or basis word: every emitted word still lies in the
+    # subgroup, so only the rebuild can tell
+    assert len(d.factors) == 1 and len(d.free_basis) == 1
+    for d_bad in (dataclasses.replace(d, factors=()), dataclasses.replace(d, free_basis=())):
+        assert all(contains(psl2_sg, w) for w in _emitted_words(d_bad, z2z3))
+        assert not verify(d_bad, psl2_sg).ok
 
 
 def test_factor_count_and_rank_formula(z2z3, z4z6):

@@ -39,6 +39,7 @@ from helpers import (
     random_subgroups,
     reference_components,
     reference_cover_defect,
+    reference_saturate,
     reference_stabilizer,
 )
 
@@ -407,3 +408,31 @@ def test_one_pass_readers_agree_with_references(data):
             assert schreier_stabilizer(g, v, group, within=comp) == stab
             if why is None:
                 assert basic_step(g.copy(), comp, v, pair) == stab
+
+
+_SATURATE_PAIRS = {
+    **_READ_PAIRS,
+    "S3*Z4": FactorPair(_COVER_PAIRS["S3"].factor1, make_cyclic(4, "x")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_saturate_matches_the_fixpoint_loop(data):
+    # a random connected labelled graph over the pair's letters, folded and
+    # hair-cut: one gluing pass must already leave a precover
+    pair = _SATURATE_PAIRS[data.draw(st.sampled_from(sorted(_SATURATE_PAIRS)))]
+    letter = st.sampled_from(pair.all_letters())
+    n = data.draw(st.integers(1, 8))
+    g = LabeledGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for v in range(1, n):
+        g.add_edge(data.draw(st.integers(0, v - 1)), v, data.draw(letter))
+    vertex = st.integers(0, n - 1)
+    for u, v, l in data.draw(st.lists(st.tuples(vertex, vertex, letter), max_size=8)):
+        g.add_edge(u, v, l)
+    g = cut_hairs(fold_all(g))
+    h = saturate(g, pair)
+    assert is_precover(h, pair).ok
+    assert dump(h, pair) == dump(reference_saturate(g, pair), pair)

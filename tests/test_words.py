@@ -19,7 +19,7 @@ from freeprod import (
 from freeprod.fingroup import parse_group_word
 from freeprod.words import MAX_WORD_LETTERS
 
-from helpers import nf_of_word
+from helpers import nf_mult, nf_of_word, random_word
 
 
 def test_parse_empty(z2z3):
@@ -120,6 +120,33 @@ def test_normalize_exhaustive_agrees_with_oracle(z2z3):
     # scan-based recomputation is the oracle for the stack-based normalize
     for w in _all_words(z2z3, 5):
         assert normalize(w, z2z3).syllables == nf_of_word(w, z2z3)
+
+
+def _nf_mult_by_syllables(x, y, pair):
+    """The oracle's product as first written: push y's syllables one by one."""
+    out = list(x)
+    for i, e in y:
+        group = pair.factor(i)
+        if out and out[-1][0] == i:
+            merged = group.mult(out[-1][1], e)
+            out.pop()
+            if merged != group.identity:
+                out.append((i, merged))
+        else:
+            out.append((i, e))
+    return tuple(out)
+
+
+def test_oracle_product_agrees_with_the_syllable_loop(z2z3, z4z6):
+    rng = random.Random(12)
+    for pair in (z2z3, z4z6):
+        for _ in range(2000):
+            w1, w2 = random_word(rng, pair, 12), random_word(rng, pair, 12)
+            if rng.random() < 0.5:
+                w2 = inverse_word(w1)[: rng.randint(0, len(w1))] + w2   # cancels into w1
+            x, y = nf_of_word(w1, pair), nf_of_word(w2, pair)
+            want = _nf_mult_by_syllables(x, y, pair)
+            assert nf_mult(x, y, pair) == want == nf_of_word(w1 + w2, pair)
 
 
 def test_normalize_idempotent_and_alternating(z2z3):
