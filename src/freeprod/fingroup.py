@@ -2,7 +2,7 @@
 
 Groups are multiplication tables over element ids 0..order-1 with a labelled
 generating set.  Every table is validated at construction, in time quadratic
-in the order per generator: entries in range, a two-sided identity, two-sided
+in the order per generator: int entries in range, a two-sided identity, two-sided
 inverses, the generating property, then Light's associativity test (with a
 witness triple on failure), which checks (a*b)*g == a*(b*g) only for the
 generators g.  That suffices once the generators generate, as
@@ -54,7 +54,7 @@ class FiniteGroup:
             raise GroupValidationError("empty multiplication table")
         if self.order > cap:
             raise GroupValidationError(f"group order {self.order} exceeds cap {cap}")
-        self._table = tuple(tuple(map(int, row)) for row in table)
+        self._table = tuple(tuple(row) for row in table)
         self.generators: tuple[tuple[str, int], ...] = tuple(
             (str(label), int(e)) for label, e in generators
         )
@@ -79,6 +79,9 @@ class FiniteGroup:
         for row in t:
             if len(row) != n:
                 raise GroupValidationError("multiplication table is not square")
+            if set(map(type, row)) != {int}:
+                x = next(x for x in row if type(x) is not int)
+                raise GroupValidationError(f"table entry {x!r} is not an int")
             if min(row) < 0 or max(row) >= n:
                 x = next(x for x in row if not 0 <= x < n)
                 raise GroupValidationError(f"table entry {x} out of range")
@@ -549,9 +552,15 @@ def reidemeister_schreier(
     """Presentation of a subgroup of a finite group on Schreier generators.
 
     Relators of the ambient group are rewritten over the coset graph of the
-    subgroup.  If the ambient group carries no relators, a multiplication
-    table presentation of the subgroup is returned instead, flagged as a
-    fallback.
+    subgroup: each non-tree edge of a BFS spanning tree is a symbol, and
+    every relator is read from every coset.  The reading runs over a dense
+    step table built once from each coset's half-edges: row c, column
+    2*gi + (sign < 0) holds the target coset and the crossed symbol
+    (name, +-1), or None on a tree edge.  A relator becomes a list of
+    column indices once, so rewriting costs O(index * sum |relator|) list
+    steps, with the symbol free reduction done on the way.  If the ambient
+    group carries no relators, a multiplication table presentation of the
+    subgroup is returned instead, flagged as a fallback.
     """
     sub = frozenset(sub)
     if not group.is_subgroup(sub):
@@ -597,32 +606,38 @@ def reidemeister_schreier(
         )
         aliases[name] = free_reduce(alias)
 
-    def rewrite(start: int, relator: GroupWord) -> tuple[tuple[str, int], ...]:
-        out: list[tuple[str, int]] = []
-        cur = start
-        for gi, sign in relator:
-            e = cg.out_edge(cur, Letter(factor, gi, sign))
-            if e is None:
-                raise InvariantError("a coset graph is not saturated")
+    # coset_graph numbers the cosets 0..index-1 and never merges them
+    ncols = 2 * len(group.generators)
+    step: list[list[tuple[int, tuple[str, int] | None] | None]] = []
+    for c in range(cg.vertex_count()):
+        row = [None] * ncols
+        for e in cg.half_edges(c):
+            letter = cg.label(e)
             geo = e & ~1
-            if geo not in tree.geo_edges:
-                # symbol orientation follows the stored direct half
-                out.append((sym_of[geo], 1 if e == geo else -1))
-            cur = cg.term(e)
-        # free reduction over symbols
-        red: list[tuple[str, int]] = []
-        for t in out:
-            if red and red[-1] == (t[0], -t[1]):
-                red.pop()
-            else:
-                red.append(t)
+            # symbol orientation follows the stored direct half
+            sym = None if geo in tree.geo_edges else (sym_of[geo], 1 if e == geo else -1)
+            row[2 * letter.gen + (letter.sign < 0)] = (cg.term(e), sym)
+        if None in row:
+            raise InvariantError("a coset graph is not saturated")
+        step.append(row)
+
+    def rewrite(cur: int, cols: list[int]) -> tuple[tuple[str, int], ...]:
+        red: list[tuple[str, int]] = []   # freely reduced as it is read
+        for col in cols:
+            cur, sym = step[cur][col]
+            if sym is not None:
+                if red and red[-1] == (sym[0], -sym[1]):
+                    red.pop()
+                else:
+                    red.append(sym)
         return tuple(red)
 
+    relator_cols = [[2 * gi + (sign < 0) for gi, sign in r] for r in group.relators]
     relators: list[tuple[tuple[str, int], ...]] = []
     seen = set()
-    for c in range(cg.vertex_count()):
-        for r in group.relators:
-            rel = rewrite(c, r)
+    for c in range(len(step)):
+        for cols in relator_cols:
+            rel = rewrite(c, cols)
             if rel and rel not in seen:
                 seen.add(rel)
                 relators.append(rel)

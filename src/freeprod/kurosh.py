@@ -196,11 +196,12 @@ def _emitted_words(d: KuroshDecomposition, pair: FactorPair) -> list[Word]:
     words: list[Word] = []
     for f in d.factors:
         group = pair.factor(f.factor)
+        back = inverse_word(f.conjugator)
         for elem in sorted(f.subgroup):
             if elem == group.identity:
                 continue
             inner = _group_word_to_letters(group.word_for(elem), f.factor)
-            words.append(free_reduce(f.conjugator + inner + inverse_word(f.conjugator)))
+            words.append(free_reduce(f.conjugator + inner + back))
     words.extend(d.free_basis)
     return words
 
@@ -224,13 +225,12 @@ def presentation(d: KuroshDecomposition, pair: FactorPair) -> Presentation:
         group = pair.factor(f.factor)
         inner = reidemeister_schreier(group, f.subgroup, factor=f.factor)
         fallback = fallback or inner.fallback
+        back = inverse_word(f.conjugator)
         renamed: dict[str, str] = {}
         for s in inner.generators:
             t = fresh()
             renamed[s] = t
-            aliases[t] = free_reduce(
-                f.conjugator + inner.aliases[s] + inverse_word(f.conjugator)
-            )
+            aliases[t] = free_reduce(f.conjugator + inner.aliases[s] + back)
         for rel in inner.relators:
             relators.append(tuple((renamed[s], sign) for s, sign in rel))
     return Presentation(tuple(syms), tuple(relators), aliases, fallback=fallback)

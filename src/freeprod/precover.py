@@ -34,23 +34,32 @@ class Verdict(NamedTuple):
         return self.ok
 
 
-def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str | None:
-    """Why a monochromatic component is not a cover of its factor, or None.
+def _covers(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
+    """The counting test for a saturated monochromatic component; raises
+    ValueError from ``schreier_stabilizer`` when it is not saturated.
 
     One pass of ``schreier_stabilizer`` checks saturation and reads the
-    loop subgroup (a sorted scan names a missing letter on failure).
-    Saturation alone is not enough: a component can be saturated yet fail
-    to be based on the factor (a cycle of the wrong length, say).  Let S be
-    the loop subgroup at a vertex v and t_u the element read along the
-    spanning tree path from v to u.  Every edge u -x-> w has t_u x t_w^-1
-    in S, so u -> S t_u maps the saturated, well-labelled component onto
-    the coset graph of S, bijectively on the edges at each vertex: a
-    covering of degree |V| / [G:S].  The component is the coset graph
-    exactly when that degree is one, that is when |V| * |S| = |G|.
+    loop subgroup.  Saturation alone is not enough: a component can be
+    saturated yet fail to be based on the factor (a cycle of the wrong
+    length, say).  Let S be the loop subgroup at a vertex v and t_u the
+    element read along the spanning tree path from v to u.  Every edge
+    u -x-> w has t_u x t_w^-1 in S, so u -> S t_u maps the saturated,
+    well-labelled component onto the coset graph of S, bijectively on the
+    edges at each vertex: a covering of degree |V| / [G:S].  The component
+    is the coset graph exactly when that degree is one, that is when
+    |V| * |S| = |G|.
     """
     group = pair.factor(comp.factor)
+    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    return len(comp.vertices) * len(stab) == group.order
+
+
+def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str | None:
+    """Why a monochromatic component is not a cover of its factor, or None
+    (the test is ``_covers``; a sorted scan names a missing letter)."""
     try:
-        stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+        if _covers(g, comp, pair):
+            return None
     except ValueError:
         for v in sorted(comp.vertices):
             for letter in pair.letters(comp.factor):
@@ -60,15 +69,16 @@ def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str
                         f"{pair.letter_name(letter)}"
                     )
         raise
-    if len(comp.vertices) * len(stab) != group.order:
-        return "is saturated but is not a cover"
-    return None
+    return "is saturated but is not a cover"
 
 
 def component_is_cover(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
     """Whether a monochromatic component is a coset Cayley graph of its
-    factor (see ``_cover_defect`` for the counting test)."""
-    return _cover_defect(g, comp, pair) is None
+    factor (see ``_covers`` for the counting test)."""
+    try:
+        return _covers(g, comp, pair)
+    except ValueError:
+        return False
 
 
 def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:

@@ -133,7 +133,8 @@ def free_reduce(w: Word) -> Word:
     """Cancel adjacent letter/inverse pairs until none remain."""
     out: list[Letter] = []
     for letter in w:
-        if out and out[-1] == letter.inverse():
+        factor, gen, sign = letter
+        if out and out[-1] == (factor, gen, -sign):   # a plain tuple equals its Letter
             out.pop()
         else:
             out.append(letter)

@@ -412,3 +412,67 @@ def reference_saturate(g, pair: FactorPair):
             seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
         h._fold_inplace(seeds=seeds)
         comps = components(h)
+
+
+def reference_reidemeister_schreier(group, sub, factor: int = 1, prefix: str = "s"):
+    """Reidemeister-Schreier rewriting as first written, for a group with
+    relators: every relator letter is one ``out_edge`` walk step in the
+    coset graph, and the symbol word is freely reduced afterwards."""
+    from freeprod import InvariantError, Presentation, coset_graph, free_reduce, inverse_word, spanning_tree
+
+    sub = frozenset(sub)
+    if sub == {group.identity}:
+        return Presentation((), (), {})
+    cg = coset_graph(group, sub, factor=factor)
+    tree = spanning_tree(cg, cg.basepoint)
+    sym_of, aliases, order = {}, {}, []
+    for e in sorted(cg.edges()):
+        if e in tree.geo_edges:
+            continue
+        name = f"{prefix}{len(order) + 1}"
+        sym_of[e] = name
+        order.append(name)
+        alias = (
+            tree.word_to(cg, cg.init(e))
+            + (cg.label(e),)
+            + inverse_word(tree.word_to(cg, cg.term(e)))
+        )
+        aliases[name] = free_reduce(alias)
+
+    def rewrite(start, relator):
+        out, cur = [], start
+        for gi, sign in relator:
+            e = cg.out_edge(cur, Letter(factor, gi, sign))
+            if e is None:
+                raise InvariantError("a coset graph is not saturated")
+            geo = e & ~1
+            if geo not in tree.geo_edges:
+                out.append((sym_of[geo], 1 if e == geo else -1))
+            cur = cg.term(e)
+        red = []
+        for t in out:
+            if red and red[-1] == (t[0], -t[1]):
+                red.pop()
+            else:
+                red.append(t)
+        return tuple(red)
+
+    relators, seen = [], set()
+    for c in range(cg.vertex_count()):
+        for r in group.relators:
+            rel = rewrite(c, r)
+            if rel and rel not in seen:
+                seen.add(rel)
+                relators.append(rel)
+    return Presentation(tuple(order), tuple(relators), aliases)
+
+
+def reference_free_reduce(w: Word) -> Word:
+    """Free reduction as first written: build each letter's inverse."""
+    out: list[Letter] = []
+    for letter in w:
+        if out and out[-1] == letter.inverse():
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)

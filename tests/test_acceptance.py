@@ -29,6 +29,7 @@ from freeprod import (
     parse_word,
     pointed_iso,
     presentation,
+    reidemeister_schreier,
     schreier_stabilizer,
     subgraph,
     subgroup_graph,
@@ -280,7 +281,7 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
 
     # the modules import these by name, so every binding is wrapped
     for mod in (freeprod.lgraph, freeprod.fingroup, freeprod.precover, freeprod.kurosh):
-        for name in ("components", "spanning_tree", "basic_step", "_cover_defect"):
+        for name in ("components", "spanning_tree", "basic_step", "_covers"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     sg = subgroup_graph(gens, z2z3)
@@ -290,8 +291,8 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     comps = len(components(sg.graph))
     assert build["components"] <= 3, f"{build['components']} component scans per build"
     # one cover test per component in saturate and one in certification
-    assert build["_cover_defect"] <= 2 * comps, (
-        f"{build['_cover_defect']} cover tests per build for {comps} components"
+    assert build["_covers"] <= 2 * comps, (
+        f"{build['_covers']} cover tests per build for {comps} components"
     )
     assert counts["components"] <= 2, f"{counts['components']} component scans per decompose"
     assert counts["spanning_tree"] == counts["basic_step"] + 2, (
@@ -299,9 +300,39 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     )
     print(
         f"\nACCEPTANCE work-counts: PASS (components {build['components']} per build, "
-        f"{build['_cover_defect']} cover tests per build for {comps} components, "
+        f"{build['_covers']} cover tests per build for {comps} components, "
         f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
         f"for {counts['basic_step']} basic steps)"
+    )
+
+
+def test_acceptance_rewrite_work_counts(monkeypatch):
+    # graph queries made by Reidemeister-Schreier for the order-8 subgroup
+    # of Z512: the relator a^512 read at 64 cosets must not walk the coset
+    # graph letter by letter (that made 131,527 of these calls)
+    group = make_cyclic(512, "a")
+    sub = group.closure([64])
+    half_edges = 2 * coset_graph(group, sub, factor=2).edge_count()
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("out_edge", "term", "find"):
+        monkeypatch.setattr(LabeledGraph, name, counted(name, getattr(LabeledGraph, name)))
+    pres = reidemeister_schreier(group, sub, factor=2)
+    calls = sum(counts.values())
+    assert pres.relators == (((pres.generators[0], 1),) * 8,)
+    assert calls <= 8 * half_edges, (
+        f"{calls} graph queries for {half_edges} coset graph half-edges ({dict(counts)})"
+    )
+    print(
+        f"\nACCEPTANCE rewrite-work-counts: PASS ({calls} out_edge/term/find calls "
+        f"for {half_edges} half-edges, bound {8 * half_edges})"
     )
 
 

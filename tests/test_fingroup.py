@@ -29,6 +29,7 @@ from freeprod import (
 from helpers import (
     groups_isomorphic,
     is_group_generated_by,
+    reference_reidemeister_schreier,
     subgroups_of,
     table_invariant,
 )
@@ -375,6 +376,39 @@ def test_reidemeister_schreier_roundtrip_all_subgroups():
             assert table_invariant(table) == table_invariant(
                 target._table, target.identity
             )
+
+
+def _fields(pres):
+    return pres.generators, pres.relators, pres.aliases, pres.fallback
+
+
+def test_reidemeister_schreier_matches_reference_all_subgroups():
+    for group in _sample_groups():
+        if not group.relators:
+            continue
+        for sub in subgroups_of(group):
+            for factor in (1, 2):
+                assert _fields(reidemeister_schreier(group, sub, factor=factor)) == _fields(
+                    reference_reidemeister_schreier(group, sub, factor=factor)
+                )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 600), st.data())
+def test_reidemeister_schreier_matches_reference_cyclic(n, data):
+    group = make_cyclic(n, "a")
+    sub = group.closure([data.draw(st.integers(0, n - 1), label="subgroup generator")])
+    assert _fields(reidemeister_schreier(group, sub, factor=2)) == _fields(
+        reference_reidemeister_schreier(group, sub, factor=2)
+    )
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, 1.0, None])
+def test_table_rejects_non_int_entries(bad):
+    table = [[0, 1], [1, 0]]
+    table[1][0] = bad
+    with pytest.raises(GroupValidationError, match="not an int"):
+        from_table(table, [("a", 1)])
 
 
 def test_two_generators_same_image_allowed():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeprod import (
     Letter,
@@ -19,7 +21,7 @@ from freeprod import (
 from freeprod.fingroup import parse_group_word
 from freeprod.words import MAX_WORD_LETTERS
 
-from helpers import nf_mult, nf_of_word, random_word
+from helpers import nf_mult, nf_of_word, random_word, reference_free_reduce
 
 
 def test_parse_empty(z2z3):
@@ -180,3 +182,16 @@ def test_equality_is_congruence(z2z3):
         if equal_in_G(u, v, z2z3) and equal_in_G(v, w, z2z3):
             assert equal_in_G(u, w, z2z3)
         assert equal_in_G(u + inverse_word(u), (), z2z3)
+
+
+_LETTERS = st.builds(Letter, st.sampled_from((1, 2)), st.sampled_from((0, 1)), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LETTERS, max_size=60))
+def test_free_reduce_matches_reference(w):
+    # two factors with two generators each: small enough to cancel often
+    w = tuple(w)
+    got = free_reduce(w)
+    assert got == reference_free_reduce(w)
+    assert all(type(l) is Letter for l in got)
