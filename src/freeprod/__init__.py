@@ -34,14 +34,12 @@ from .lgraph import (
     SpanningTree,
     Trace,
     bouquet,
-    classify_vertices,
     components,
     cut_hairs,
     dump,
     fold_all,
     pointed_iso,
     spanning_tree,
-    subgraph,
     to_dot,
     trace,
 )
@@ -62,7 +60,6 @@ from .words import (
     NormalWord,
     Word,
     WordSyntaxError,
-    equal_in_G,
     free_reduce,
     inverse_word,
     letter_key,
@@ -70,7 +67,6 @@ from .words import (
     normalize,
     parse_word,
     render_word,
-    syllable_length,
 )
 
 __version__ = "0.1.0"

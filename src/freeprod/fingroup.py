@@ -12,7 +12,7 @@ generators g.  That suffices once the generators generate, as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .lgraph import InvariantError, LabeledGraph, MonoComponent, SpanningTree, spanning_tree
+from .lgraph import InvariantError, LabeledGraph, MonoComponent, spanning_tree
 from .words import Letter, Word, WordSyntaxError, _tokens, free_reduce, inverse_word
 
 DEFAULT_CAP = 4096
@@ -437,39 +437,59 @@ def _element(group: FiniteGroup, letter: Letter) -> int:
 
 
 def _letters_at(g: LabeledGraph, u: int, factor: int | None, nletters: int) -> list[int]:
-    """The half-edges at ``u`` of ``factor`` (of any factor when None);
-    raises unless they carry exactly ``nletters`` distinct letters."""
-    out = [e for e in g.half_edges(u) if factor is None or g.label(e).factor == factor]
-    if len(out) != nletters or len({g.label(e) for e in out}) != nletters:
+    """The half-edges at ``u`` of ``factor`` (of any factor when None) in
+    letter order: slot 2*gen + (sign < 0) holds the edge with that letter.
+    Raises unless every slot holds exactly one edge."""
+    slots: list[int | None] = [None] * nletters
+    for e in g.half_edges(u):
+        f, gen, sign = g.label(e)
+        if factor is not None and f != factor:
+            continue
+        k = 2 * gen + (sign < 0)
+        if k >= nletters or slots[k] is not None:
+            raise ValueError(f"cover is not saturated at vertex {u}")
+        slots[k] = e
+    if None in slots:
         raise ValueError(f"cover is not saturated at vertex {u}")
-    return out
+    return slots
 
 
-def _tree_elements(
-    g: LabeledGraph, tree: SpanningTree, group: FiniteGroup, factor: int
-) -> dict[int, int]:
-    """Evaluate every tree path in BFS order, checking each vertex's letters."""
-    elem = {tree.root: group.identity}
-    for v in tree.order:
-        _letters_at(g, v, factor, 2 * len(group.generators))
-        if v != tree.root:
-            e = tree.parent_edge[v]
-            elem[v] = group.mult(elem[g.init(e)], _element(group, g.label(e)))
-    return elem
+def _schreier_walk(
+    c: LabeledGraph, v: int, group: FiniteGroup, within: MonoComponent | None
+) -> tuple[frozenset[int], set[int]]:
+    """The loop subgroup at ``v`` in a cover and the direct ids of the
+    edges of its breadth-first spanning tree from ``v``.
 
-
-def _schreier_closure(
-    g: LabeledGraph, group: FiniteGroup, elem: dict[int, int], edges
-) -> frozenset[int]:
-    """The Schreier rule: the subgroup generated by t_u * x * t_w^-1 over the
-    non-tree edges u -x-> w given, where ``elem[u]`` is the tree element t_u."""
+    One pass checks each vertex's letters as it is dequeued, expands its
+    edges in letter order and evaluates the tree elements t_u.  The
+    Schreier rule then closes t_u * x * t_w^-1 over the non-tree edges
+    u -x-> w.  The graph (or the selected component) must be saturated.
+    """
+    v = c.find(v)
+    factor = None if within is None else within.factor
+    verts = frozenset(c.vertices()) if within is None else within.vertices
+    if v not in verts:
+        raise ValueError(f"vertex {v} is not in the cover")
+    nletters = 2 * len(group.generators)
     mult = group.mult
-    gens = {
-        mult(mult(elem[g.init(e)], _element(group, g.label(e))), group.inv(elem[g.term(e)]))
-        for e in edges
-    }
+    elem = {v: group.identity}
+    via: dict[int, int] = {}   # the tree half-edge entering each vertex but v
+    gens: set[int] = set()
+    queue = [v]
+    for u in queue:
+        for e in _letters_at(c, u, factor, nletters):
+            w = c.term(e)
+            x = _element(group, c.label(e))
+            if w not in elem:
+                elem[w] = mult(elem[u], x)
+                via[w] = e
+                queue.append(w)
+            elif e ^ 1 != via.get(u):
+                gens.add(mult(mult(elem[u], x), group.inv(elem[w])))
+    for u in sorted(verts.difference(elem)):   # the rest of a disconnected graph
+        _letters_at(c, u, factor, nletters)
     gens.discard(group.identity)
-    return group.closure(gens)
+    return group.closure(gens), {e & ~1 for e in via.values()}
 
 
 def schreier_stabilizer(
@@ -480,33 +500,12 @@ def schreier_stabilizer(
 ) -> frozenset[int]:
     """The subgroup of ``group`` read along loops at ``v`` in a cover.
 
-    One breadth-first pass checks each vertex's letters as it is dequeued,
-    evaluates the tree elements t_u and keeps the other half-edges for
-    ``_schreier_closure``; the loop subgroup does not depend on the tree.
-    The graph (or the selected component) must be saturated.
+    The graph (or the selected component) must be saturated; the one
+    breadth-first pass is ``_schreier_walk``, whose spanning tree
+    ``kurosh.basic_step`` keeps.  The loop subgroup does not depend on the
+    tree.
     """
-    v = c.find(v)
-    factor = None if within is None else within.factor
-    verts = frozenset(c.vertices()) if within is None else within.vertices
-    if v not in verts:
-        raise ValueError(f"vertex {v} is not in the cover")
-    nletters = 2 * len(group.generators)
-    elem = {v: group.identity}
-    via = {v: -1}   # the tree half-edge entering each vertex
-    rest: list[int] = []
-    queue = [v]
-    for u in queue:
-        for e in _letters_at(c, u, factor, nletters):
-            w = c.term(e)
-            if w not in elem:
-                elem[w] = group.mult(elem[u], _element(group, c.label(e)))
-                via[w] = e
-                queue.append(w)
-            elif e ^ 1 != via[u]:
-                rest.append(e)
-    for u in sorted(verts.difference(elem)):   # the rest of a disconnected graph
-        _letters_at(c, u, factor, nletters)
-    return _schreier_closure(c, group, elem, rest)
+    return _schreier_walk(c, v, group, within)[0]
 
 
 @dataclass(frozen=True)
@@ -563,12 +562,12 @@ def reidemeister_schreier(
     subgroup is returned instead, flagged as a fallback.
     """
     sub = frozenset(sub)
-    if not group.is_subgroup(sub):
-        raise GroupValidationError("subgroup set is not closed under the group operations")
     if sub == {group.identity}:
         return Presentation((), (), {})
 
     if not group.relators:
+        if not group.is_subgroup(sub):   # coset_graph checks on the other branch
+            raise GroupValidationError("subgroup set is not closed under the group operations")
         members = [x for x in sorted(sub) if x != group.identity]
         syms = {x: f"{prefix}{k + 1}" for k, x in enumerate(members)}
         relators = []

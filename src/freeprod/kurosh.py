@@ -3,11 +3,12 @@
 One breadth-first spanning tree from the basepoint, built before anything
 is deleted, fixes every conjugator: the first vertex of a cover component
 in the tree's BFS order is the component's basepoint, and the tree word to
-it is the conjugator.  Each cover component then contributes the loop
-subgroup at its basepoint (when non-trivial), and is replaced in place, on
-one working copy of the graph, by its own spanning tree.  Once every
-component is a tree the residual graph determines a free group, whose basis
-is read off the non-tree edges of a spanning tree.
+it is the conjugator.  Each cover component is then read by one walk from
+its basepoint, the same walk that tests covers: it yields the loop
+subgroup (a factor when non-trivial) and a spanning tree of the component,
+which replaces the component in place on one working copy of the graph.
+Once every component is a tree the residual graph determines a free
+group, whose basis is read off the non-tree edges of a spanning tree.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .fingroup import (
     FactorPair,
     Presentation,
     _group_word_to_letters,
-    _schreier_closure,
-    _tree_elements,
+    _schreier_walk,
     reidemeister_schreier,
 )
 from .lgraph import (
@@ -110,19 +110,16 @@ def mcc(g: LabeledGraph, pair: FactorPair) -> list[MonoComponent]:
 def basic_step(g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair) -> frozenset[int]:
     """Replace a cover component by its spanning tree at ``v``, in place.
 
-    Deletes the component's non-tree edges from ``g`` and returns the loop
-    subgroup at ``v``.  It is trivial when the component was a full Cayley
-    graph; the tree still stays behind and feeds the free rank.
+    The cover test's walk (``fingroup._schreier_walk``) reads the loop
+    subgroup at ``v`` and the breadth-first tree in letter order; the
+    component's other edges are then deleted from ``g``.  The subgroup is
+    trivial when the component was a full Cayley graph; the tree still
+    stays behind and feeds the free rank.
     """
-    v = g.find(v)
-    if v not in c.vertices:
-        raise ValueError(f"vertex {v} is not in the component")
-    group = pair.factor(c.factor)
-    tree = spanning_tree(g, v, within=c)
-    cut = [e for e in c.edges if e not in tree.geo_edges]
-    stab = _schreier_closure(g, group, _tree_elements(g, tree, group, c.factor), cut)
-    for e in cut:
-        g.remove_edge(e)
+    stab, tree = _schreier_walk(g, v, pair.factor(c.factor), c)
+    for e in c.edges:
+        if e not in tree:
+            g.remove_edge(e)
     return stab
 
 

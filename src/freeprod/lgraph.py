@@ -337,20 +337,6 @@ def trace(g: LabeledGraph, v: int, w: Word) -> Trace:
     return Trace(cur, None)
 
 
-def classify_vertices(g: LabeledGraph) -> dict[int, str]:
-    """Tag every live vertex as VM1, VM2, VB or isolated."""
-    out: dict[int, str] = {}
-    for v in g.vertices():
-        colors = {g.label(e).factor for e in g.half_edges(v)}
-        if not colors:
-            out[v] = "isolated"
-        elif len(colors) == 2:
-            out[v] = "VB"
-        else:
-            out[v] = f"VM{colors.pop()}"
-    return out
-
-
 def components(g: LabeledGraph) -> list[MonoComponent]:
     """Monochromatic components, ordered by (smallest vertex, factor): walks
     start at the vertices in increasing order and mark bichromatic vertices."""
@@ -389,14 +375,9 @@ def components(g: LabeledGraph) -> list[MonoComponent]:
     return comps
 
 
-def spanning_tree(
-    g: LabeledGraph, root: int, within: MonoComponent | None = None
-) -> SpanningTree:
+def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
     """BFS spanning tree, expanding edges in letter order for determinism."""
     root = g.find(root)
-    scope = set(within.edges) if within is not None else None
-    if within is not None and root not in within.vertices:
-        raise ValueError(f"root {root} is not in the component")
     parent_edge: dict[int, int] = {}
     geo: set[int] = set()
     order = [root]
@@ -404,9 +385,7 @@ def spanning_tree(
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        out = [e for e in g._out[v] if scope is None or (e & ~1) in scope]
-        out.sort(key=lambda e: (letter_key(g.label(e)), e))
-        for e in out:
+        for e in sorted(g._out[v], key=lambda e: (letter_key(g.label(e)), e)):
             w = g.term(e)
             if w in seen:
                 continue
@@ -456,23 +435,6 @@ def pointed_iso(g1: LabeledGraph, v1: int, g2: LabeledGraph, v2: int) -> bool:
                 bwd[tb] = ta
                 queue.append(ta)
     return len(fwd) == g1.vertex_count() == g2.vertex_count()
-
-
-def subgraph(
-    g: LabeledGraph,
-    vertices: Iterable[int],
-    edges: Iterable[int],
-    basepoint: int,
-) -> LabeledGraph:
-    """Standalone copy of a subgraph, vertices renumbered in sorted order."""
-    vmap = {v: i for i, v in enumerate(sorted(g.find(v) for v in vertices))}
-    h = LabeledGraph()
-    for _ in vmap:
-        h.add_vertex()
-    for e in sorted(set(e & ~1 for e in edges)):
-        h.add_edge(vmap[g.init(e)], vmap[g.term(e)], g.label(e))
-    h.set_basepoint(vmap[g.find(basepoint)])
-    return h
 
 
 def _positive_arrows(g: LabeledGraph) -> list[tuple[int, Letter, int, int]]:

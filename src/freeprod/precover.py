@@ -269,11 +269,10 @@ def index_if_finite(sg: SubgroupGraph) -> int | None:
 
     A fully saturated reduced precover is the whole coset Cayley graph, so
     its vertex count is the index; an unsaturated vertex means the index is
-    infinite.
+    infinite.  The graph is well-labelled, so a vertex carries each letter
+    at most once, and it carries every letter exactly when its degree is
+    the number of letters.
     """
-    letters = sg.pair.all_letters()
-    for v in sg.graph.vertices():
-        for letter in letters:
-            if sg.graph.out_edge(v, letter) is None:
-                return None
-    return sg.graph.vertex_count()
+    g, nletters = sg.graph, len(sg.pair.all_letters())
+    verts = g.vertices()
+    return len(verts) if all(g.degree(v) == nletters for v in verts) else None

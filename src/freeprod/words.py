@@ -171,12 +171,3 @@ def normal_to_word(nw: NormalWord, pair: "FactorPair") -> Word:
         group = pair.factor(i)
         letters.extend(Letter(i, gi, sign) for gi, sign in group.word_for(elem))
     return tuple(letters)
-
-
-def syllable_length(nw: NormalWord) -> int:
-    return len(nw.syllables)
-
-
-def equal_in_G(w1: Word, w2: Word, pair: "FactorPair") -> bool:
-    """True iff the two words represent the same element of the free product."""
-    return not normalize(w1 + inverse_word(w2), pair)

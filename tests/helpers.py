@@ -1,4 +1,5 @@
-"""Shared test machinery: independent oracles and random corpora.
+"""Shared test machinery: independent oracles, random corpora and the
+small graph and word utilities only the tests use.
 
 The oracles here deliberately avoid the library's graph pipeline.  Normal
 form arithmetic is reimplemented from scratch on syllable tuples, and
@@ -11,8 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterable
 
-from freeprod import FactorPair, Letter, Word
+from freeprod import FactorPair, LabeledGraph, Letter, NormalWord, Word, inverse_word, normalize
 
 Syllables = tuple[tuple[int, int], ...]
 
@@ -211,8 +213,6 @@ def table_invariant(table, identity=None):
 
 def random_labelled_graph(rng: random.Random, max_v: int = 7, max_e: int = 14):
     """Connected random labelled graph: a random tree plus extra edges."""
-    from freeprod import LabeledGraph
-
     letters = [Letter(1, 0, 1), Letter(1, 0, -1), Letter(2, 0, 1), Letter(2, 0, -1)]
     g = LabeledGraph()
     n = rng.randint(1, max_v)
@@ -330,9 +330,10 @@ def reference_components(g):
 
 
 def reference_stabilizer(g, v, group, comp=None):
-    """Loop subgroup at v as first written: check every vertex's letters
-    in sorted order, build a BFS spanning tree expanding edges in letter
-    order, then close the Schreier generators of the non-tree edges."""
+    """Loop subgroup at v and the direct ids of its spanning tree's edges,
+    as first written: check every vertex's letters in sorted order, build a
+    BFS spanning tree expanding edges in letter order, then close the
+    Schreier generators of the non-tree edges."""
     v = g.find(v)
     verts = comp.vertices if comp is not None else frozenset(g.vertices())
     scope = set(comp.edges) if comp is not None else set(g.edges())
@@ -365,7 +366,7 @@ def reference_stabilizer(g, v, group, comp=None):
         for e in sorted(scope)
         if e not in tree
     ]
-    return group.closure(gens)
+    return group.closure(gens), frozenset(tree)
 
 
 def reference_cover_defect(g, comp, pair):
@@ -376,7 +377,7 @@ def reference_cover_defect(g, comp, pair):
             if g.out_edge(v, letter) is None:
                 return f"is not saturated: vertex {v} has no edge labelled {pair.letter_name(letter)}"
     group = pair.factor(comp.factor)
-    stab = reference_stabilizer(g, comp.min_vertex, group, comp)
+    stab, _ = reference_stabilizer(g, comp.min_vertex, group, comp)
     if len(comp.vertices) * len(stab) != group.order:
         return "is saturated but is not a cover"
     return None
@@ -476,3 +477,53 @@ def reference_free_reduce(w: Word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def reference_index_if_finite(sg):
+    """Subgroup index as first written: scan every vertex for every letter."""
+    letters = sg.pair.all_letters()
+    for v in sg.graph.vertices():
+        for letter in letters:
+            if sg.graph.out_edge(v, letter) is None:
+                return None
+    return sg.graph.vertex_count()
+
+
+def classify_vertices(g: LabeledGraph) -> dict[int, str]:
+    """Tag every live vertex as VM1, VM2, VB or isolated."""
+    out: dict[int, str] = {}
+    for v in g.vertices():
+        colors = {g.label(e).factor for e in g.half_edges(v)}
+        if not colors:
+            out[v] = "isolated"
+        elif len(colors) == 2:
+            out[v] = "VB"
+        else:
+            out[v] = f"VM{colors.pop()}"
+    return out
+
+
+def subgraph(
+    g: LabeledGraph,
+    vertices: Iterable[int],
+    edges: Iterable[int],
+    basepoint: int,
+) -> LabeledGraph:
+    """Standalone copy of a subgraph, vertices renumbered in sorted order."""
+    vmap = {v: i for i, v in enumerate(sorted(g.find(v) for v in vertices))}
+    h = LabeledGraph()
+    for _ in vmap:
+        h.add_vertex()
+    for e in sorted(set(e & ~1 for e in edges)):
+        h.add_edge(vmap[g.init(e)], vmap[g.term(e)], g.label(e))
+    h.set_basepoint(vmap[g.find(basepoint)])
+    return h
+
+
+def syllable_length(nw: NormalWord) -> int:
+    return len(nw.syllables)
+
+
+def equal_in_G(w1: Word, w2: Word, pair: FactorPair) -> bool:
+    """True iff the two words represent the same element of the free product."""
+    return not normalize(w1 + inverse_word(w2), pair)

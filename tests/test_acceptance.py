@@ -31,7 +31,6 @@ from freeprod import (
     presentation,
     reidemeister_schreier,
     schreier_stabilizer,
-    subgraph,
     subgroup_graph,
     verify,
 )
@@ -47,6 +46,7 @@ from helpers import (
     random_labelled_graph,
     random_subgroups,
     random_word,
+    subgraph,
 )
 
 
@@ -266,8 +266,9 @@ def test_acceptance_decompose_scaling(z2z3):
 
 
 def test_acceptance_work_counts(z2z3, monkeypatch):
-    # counts of whole-graph scans and spanning trees on the first seed-777
-    # problem at m = 800: unlike the wall-time gates, host speed cannot move them
+    # counts of whole-graph scans, spanning trees and vertex letter checks on
+    # the first seed-777 problem at m = 800: unlike the wall-time gates, host
+    # speed cannot move them
     rng = random.Random(777)
     gens = [_conjugate_generator(rng, z2z3, (800 - 26) // 2), _conjugate_generator(rng, z2z3, 12)]
     counts = Counter()
@@ -281,28 +282,38 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
 
     # the modules import these by name, so every binding is wrapped
     for mod in (freeprod.lgraph, freeprod.fingroup, freeprod.precover, freeprod.kurosh):
-        for name in ("components", "spanning_tree", "basic_step", "_covers"):
+        for name in ("components", "spanning_tree", "basic_step", "_covers", "_letters_at"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
     counts.clear()
     decompose(sg)
-    comps = len(components(sg.graph))
+    covers = components(sg.graph)   # every component of a precover is a cover
+    comps = len(covers)
     assert build["components"] <= 3, f"{build['components']} component scans per build"
     # one cover test per component in saturate and one in certification
     assert build["_covers"] <= 2 * comps, (
         f"{build['_covers']} cover tests per build for {comps} components"
     )
     assert counts["components"] <= 2, f"{counts['components']} component scans per decompose"
-    assert counts["spanning_tree"] == counts["basic_step"] + 2, (
+    # decompose's tree from the basepoint and free_basis's; a basic step
+    # keeps the tree of the cover test's walk
+    assert counts["spanning_tree"] == 2, (
         f"{counts['spanning_tree']} spanning trees for {counts['basic_step']} basic steps"
+    )
+    # each cover is walked twice: by mcc's cover test and by its basic step
+    cover_vertices = sum(len(c.vertices) for c in covers)
+    assert counts["_letters_at"] <= 2 * cover_vertices, (
+        f"{counts['_letters_at']} vertex letter checks per decompose for "
+        f"{cover_vertices} cover vertices"
     )
     print(
         f"\nACCEPTANCE work-counts: PASS (components {build['components']} per build, "
         f"{build['_covers']} cover tests per build for {comps} components, "
         f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
-        f"for {counts['basic_step']} basic steps)"
+        f"for {counts['basic_step']} basic steps; {counts['_letters_at']} letter checks "
+        f"for {cover_vertices} cover vertices)"
     )
 
 

@@ -354,6 +354,27 @@ def test_reidemeister_schreier_fallback():
     assert groups_isomorphic(_presented_from(pres), make_cyclic(2, "c"))
 
 
+def test_reidemeister_schreier_checks_the_subgroup_once(monkeypatch):
+    # the relators branch leaves the check to coset_graph, the fallback
+    # branch makes it itself; a non-subgroup is refused on both
+    calls = []
+    check = FiniteGroup.is_subgroup
+
+    def counted(self, sub):
+        calls.append(sub)
+        return check(self, sub)
+
+    monkeypatch.setattr(FiniteGroup, "is_subgroup", counted)
+    z6 = make_cyclic(6, "y")
+    klein = from_table(KLEIN, [("x", 1), ("y", 2)])  # no relators known
+    for group, sub, bad in ((z6, {0, 3}, {0, 2}), (klein, {0, 1}, {0, 1, 2})):
+        calls.clear()
+        reidemeister_schreier(group, sub)
+        assert len(calls) == 1
+        with pytest.raises(GroupValidationError, match="not closed"):
+            reidemeister_schreier(group, bad)
+
+
 def test_reidemeister_schreier_roundtrip_all_subgroups():
     # Schreier presentations may carry generators whose value is the
     # identity (relators kill them), which from_presentation rejects by

@@ -27,15 +27,13 @@ from freeprod import (
     parse_word,
     pointed_iso,
     presentation,
-    subgraph,
     subgroup_graph,
-    syllable_length,
     trace,
     verify,
 )
 
 from freeprod.kurosh import _emitted_words
-from helpers import random_subgroups
+from helpers import equal_in_G, random_subgroups, subgraph, syllable_length
 
 
 def test_mcc_trivial(z2z3):
@@ -77,8 +75,6 @@ def test_basic_step_extracts_conjugated_factor(z2z3, psl2_sg):
     assert f.factor == 1 and f.order == 2
     # conjugator is ab^2 up to equality in the free product
     conj = parse_word("a b^2", z2z3)
-    from freeprod import equal_in_G
-
     assert equal_in_G(f.conjugator, conj, z2z3)
     assert f.conjugator_nf.syllables == ((1, 1), (2, 2))
 

@@ -4,15 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import freeprod
 from freeprod import (
     LabeledGraph,
     Letter,
     bouquet,
     cayley_graph,
-    classify_vertices,
     components,
     cut_hairs,
     dump,
@@ -25,6 +22,8 @@ from freeprod import (
     to_dot,
     trace,
 )
+
+from helpers import classify_vertices
 
 A = Letter(1, 0, 1)
 B = Letter(2, 0, 1)
@@ -158,17 +157,6 @@ def test_spanning_tree_shapes():
 
     g6 = cayley_graph(make_cyclic(6, "y"), factor=2)
     assert len(spanning_tree(g6, 0).geo_edges) == 5
-
-
-def test_spanning_tree_bad_root(z2z3):
-    g = fold_all(bouquet([parse_word("a b", z2z3)], z2z3))
-    comp = components(g)[0]
-    outside = next(v for v in g.vertices() if v not in comp.vertices) if (
-        set(g.vertices()) - set(comp.vertices)
-    ) else None
-    if outside is not None:
-        with pytest.raises(ValueError):
-            spanning_tree(g, outside, within=comp)
 
 
 def test_pointed_iso_basic():

@@ -28,7 +28,6 @@ from freeprod import (
     prune_redundant,
     saturate,
     schreier_stabilizer,
-    subgraph,
     subgroup_graph,
 )
 
@@ -39,8 +38,10 @@ from helpers import (
     random_subgroups,
     reference_components,
     reference_cover_defect,
+    reference_index_if_finite,
     reference_saturate,
     reference_stabilizer,
+    subgraph,
 )
 
 X = Letter(1, 0, 1)
@@ -231,6 +232,18 @@ def test_index_examples(z2z3, psl2_sg):
     assert index_if_finite(two) == 2
 
 
+def test_index_count_agrees_with_letter_scan(z2z3, z4z6):
+    rng = random.Random(0)
+    finite = 0
+    for pair in (z2z3, z4z6):
+        for gens in random_subgroups(rng, pair, 150, n_gens=(1, 4), max_len=4):
+            sg = subgroup_graph(gens, pair)
+            index = index_if_finite(sg)
+            assert index == reference_index_if_finite(sg), gens
+            finite += index is not None
+    assert finite > 0
+
+
 def test_pipeline_certifies_random_corpus(z2z3, z4z6):
     rng = random.Random(20)
     for pair in (z2z3, z4z6):
@@ -404,10 +417,12 @@ def test_one_pass_readers_agree_with_references(data):
             continue
         group = pair.factor(comp.factor)
         for v in comp.vertices:
-            stab = reference_stabilizer(g, v, group, comp)
+            stab, tree = reference_stabilizer(g, v, group, comp)
             assert schreier_stabilizer(g, v, group, within=comp) == stab
             if why is None:
-                assert basic_step(g.copy(), comp, v, pair) == stab
+                h = g.copy()
+                assert basic_step(h, comp, v, pair) == stab
+                assert set(h.edges()) & set(comp.edges) == tree
 
 
 _SATURATE_PAIRS = {

@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 from freeprod import (
     Letter,
     WordSyntaxError,
-    equal_in_G,
     free_reduce,
     inverse_word,
     normal_to_word,
     normalize,
     parse_word,
     render_word,
-    syllable_length,
 )
 
 from freeprod.fingroup import parse_group_word
 from freeprod.words import MAX_WORD_LETTERS
 
-from helpers import nf_mult, nf_of_word, random_word, reference_free_reduce
+from helpers import equal_in_G, nf_mult, nf_of_word, random_word, reference_free_reduce, syllable_length
 
 
 def test_parse_empty(z2z3):
