@@ -431,18 +431,14 @@ def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:
     return g
 
 
-def _element(group: FiniteGroup, letter: Letter) -> int:
-    img = group.generators[letter.gen][1]
-    return img if letter.sign > 0 else group.inv(img)
-
-
 def _letters_at(g: LabeledGraph, u: int, factor: int | None, nletters: int) -> list[int]:
-    """The half-edges at ``u`` of ``factor`` (of any factor when None) in
-    letter order: slot 2*gen + (sign < 0) holds the edge with that letter.
-    Raises unless every slot holds exactly one edge."""
+    """The half-edges at the live vertex ``u`` of ``factor`` (of any factor
+    when None) in letter order: slot 2*gen + (sign < 0) holds the edge with
+    that letter.  Raises unless every slot holds exactly one edge."""
+    label = g._elabel
     slots: list[int | None] = [None] * nletters
-    for e in g.half_edges(u):
-        f, gen, sign = g.label(e)
+    for e in g._out[u]:
+        f, gen, sign = label[e]
         if factor is not None and f != factor:
             continue
         k = 2 * gen + (sign < 0)
@@ -471,15 +467,16 @@ def _schreier_walk(
     if v not in verts:
         raise ValueError(f"vertex {v} is not in the cover")
     nletters = 2 * len(group.generators)
-    mult = group.mult
+    mult, einit = group.mult, c._einit
+    # the element of each letter slot: 2*gen for the generator, +1 its inverse
+    slot_elems = [x for _, img in group.generators for x in (img, group.inv(img))]
     elem = {v: group.identity}
     via: dict[int, int] = {}   # the tree half-edge entering each vertex but v
     gens: set[int] = set()
     queue = [v]
     for u in queue:
-        for e in _letters_at(c, u, factor, nletters):
-            w = c.term(e)
-            x = _element(group, c.label(e))
+        for e, x in zip(_letters_at(c, u, factor, nletters), slot_elems):
+            w = einit[e ^ 1]
             if w not in elem:
                 elem[w] = mult(elem[u], x)
                 via[w] = e

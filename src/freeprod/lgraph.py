@@ -6,6 +6,10 @@ folding (identifying two edges with the same initial vertex and label)
 is a sequence of cheap merges; deleted vertices and edges keep their ids
 and are flagged dead, which keeps ids stable across the whole pipeline.
 A deleted edge leaves the adjacency lists at once: they hold live edges only.
+Each union rewrites the endpoint of every half-edge it moves to the
+survivor, so a live half-edge's recorded endpoint is always a root and
+reading an edge never walks the union-find: ``init``/``term`` are for live
+edges, and ``find`` only resolves vertex ids handed in from outside.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class LabeledGraph:
     # -- vertex union-find ------------------------------------------------
 
     def find(self, v: int) -> int:
+        """The live vertex a vertex id was merged into.  Only ids handed in
+        from outside need it: edge endpoints are kept at their roots."""
         root = v
         while self._parent[root] != root:
             root = self._parent[root]
@@ -95,7 +101,11 @@ class LabeledGraph:
             a, b = b, a
         self._parent[b] = a
         self._csize[a] += self._csize[b]
-        self._out[a].extend(self._out.pop(b))
+        moved = self._out.pop(b)
+        einit = self._einit
+        for h in moved:
+            einit[h] = a
+        self._out[a].extend(moved)
         return a
 
     # -- basic queries ----------------------------------------------------
@@ -114,10 +124,13 @@ class LabeledGraph:
         return [e for e in range(0, len(self._einit), 2) if self._ealive[e]]
 
     def init(self, e: int) -> int:
-        return self.find(self._einit[e])
+        """Initial vertex of a live half-edge.  A dead half-edge keeps the
+        endpoint it had when it was deleted: later unions do not rewrite it."""
+        return self._einit[e]
 
     def term(self, e: int) -> int:
-        return self.find(self._einit[e ^ 1])
+        """Terminal vertex of a live half-edge (see ``init``)."""
+        return self._einit[e ^ 1]
 
     def label(self, e: int) -> Letter:
         return self._elabel[e]
@@ -143,10 +156,11 @@ class LabeledGraph:
         return None
 
     def vertex_count(self) -> int:
-        return len(self.vertices())
+        return sum(1 for v in self._out if self._valive[v])
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        """Every live half-edge sits in exactly one adjacency list."""
+        return sum(map(len, self._out.values())) // 2
 
     def is_well_labelled(self) -> bool:
         for v in self.vertices():
@@ -162,12 +176,13 @@ class LabeledGraph:
         verts = self.vertices()
         if not verts:
             return False
+        einit = self._einit
         seen = {verts[0]}
         stack = [verts[0]]
         while stack:
             v = stack.pop()
             for e in self._out[v]:
-                w = self.term(e)
+                w = einit[e ^ 1]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -182,7 +197,7 @@ class LabeledGraph:
             return
         for h in (e & ~1, e | 1):
             self._ealive[h] = False
-            self._out[self.find(self._einit[h])].remove(h)
+            self._out[self._einit[h]].remove(h)
 
     def remove_vertex(self, v: int) -> None:
         """Delete a vertex; its incident edges must already be gone."""
@@ -217,8 +232,8 @@ class LabeledGraph:
                         slots[l] = e
                         continue
                     # fold e onto other: identify terminal vertices, drop e
-                    t1 = self.term(other)
-                    t2 = self.term(e)
+                    t1 = self._einit[other ^ 1]
+                    t2 = self._einit[e ^ 1]
                     self.remove_edge(e)
                     if t1 != t2:
                         r = self._union(t1, t2)
@@ -263,13 +278,19 @@ class SpanningTree:
     order: list[int] = field(default_factory=list)
 
     def path_to(self, g: LabeledGraph, v: int) -> tuple[int, ...]:
-        """Half-edges of the tree path root -> v."""
+        """Half-edges of the tree path root -> v.
+
+        The path reads the endpoints recorded in ``g``, not ``g.init``: a
+        tree edge deleted since the tree was built (``decompose`` deletes
+        the non-tree edges of covers) keeps its endpoints while no vertex
+        is merged."""
         path: list[int] = []
+        einit, parent_edge = g._einit, self.parent_edge
         v = g.find(v)
         while v != self.root:
-            e = self.parent_edge[v]
+            e = parent_edge[v]
             path.append(e)
-            v = g.init(e)
+            v = einit[e]
         path.reverse()
         return tuple(path)
 
@@ -308,17 +329,18 @@ def cut_hairs(g: LabeledGraph) -> LabeledGraph:
     """
     h = g.copy()
     bp = h.basepoint
-    queue = deque(v for v in h.vertices() if v != bp and h.degree(v) == 1)
+    out = h._out   # nothing is merged here, so every queued id is a root
+    queue = deque(v for v in h.vertices() if v != bp and len(out[v]) == 1)
     while queue:
-        v = h.find(queue.popleft())
-        if not h._valive[v] or v == bp or h.degree(v) != 1:
+        v = queue.popleft()
+        if not h._valive[v] or v == bp or len(out[v]) != 1:
             continue
-        e = h.half_edges(v)[0]
+        e = out[v][0]
         w = h.term(e)
         h.remove_edge(e)
         h.remove_vertex(v)
         if w != bp and h._valive[w]:
-            d = h.degree(w)
+            d = len(out[w])
             if d == 1:
                 queue.append(w)
             elif d == 0:
@@ -328,19 +350,22 @@ def cut_hairs(g: LabeledGraph) -> LabeledGraph:
 
 def trace(g: LabeledGraph, v: int, w: Word) -> Trace:
     """Read ``w`` from ``v`` along uniquely labelled edges."""
+    out, label, einit = g._out, g._elabel, g._einit
     cur = g.find(v)
     for i, letter in enumerate(w):
-        e = g.out_edge(cur, letter)
-        if e is None:
+        for e in out[cur]:
+            if label[e] == letter:
+                cur = einit[e ^ 1]
+                break
+        else:
             return Trace(None, i)
-        cur = g.term(e)
     return Trace(cur, None)
 
 
 def components(g: LabeledGraph) -> list[MonoComponent]:
     """Monochromatic components, ordered by (smallest vertex, factor): walks
     start at the vertices in increasing order and mark bichromatic vertices."""
-    out, label = g._out, g._elabel
+    out, label, einit = g._out, g._elabel, g._einit
     seen: dict[int, set[int]] = {1: set(), 2: set()}
     comps: list[MonoComponent] = []
     for start in g.vertices():
@@ -358,7 +383,7 @@ def components(g: LabeledGraph) -> list[MonoComponent]:
                         vb.add(v)
                         continue
                     geo.add(e & ~1)
-                    w = g.term(e)
+                    w = einit[e ^ 1]
                     if w not in verts:
                         verts.add(w)
                         stack.append(w)
@@ -377,6 +402,7 @@ def components(g: LabeledGraph) -> list[MonoComponent]:
 
 def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
     """BFS spanning tree, expanding edges in letter order for determinism."""
+    out, label, einit = g._out, g._elabel, g._einit
     root = g.find(root)
     parent_edge: dict[int, int] = {}
     geo: set[int] = set()
@@ -385,8 +411,8 @@ def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for e in sorted(g._out[v], key=lambda e: (letter_key(g.label(e)), e)):
-            w = g.term(e)
+        for e in sorted(out[v], key=lambda e: (letter_key(label[e]), e)):
+            w = einit[e ^ 1]
             if w in seen:
                 continue
             seen.add(w)
@@ -403,24 +429,27 @@ def pointed_iso(g1: LabeledGraph, v1: int, g2: LabeledGraph, v2: int) -> bool:
     Well-labelledness makes the isomorphism unique if it exists, so a
     simultaneous traversal from the basepoints decides it in linear time.
     """
-    fwd: dict[int, int] = {g1.find(v1): g2.find(v2)}
-    bwd: dict[int, int] = {g2.find(v2): g1.find(v1)}
-    queue = deque([g1.find(v1)])
+    out1, label1, einit1 = g1._out, g1._elabel, g1._einit
+    out2, label2, einit2 = g2._out, g2._elabel, g2._einit
+    r1, r2 = g1.find(v1), g2.find(v2)
+    fwd: dict[int, int] = {r1: r2}
+    bwd: dict[int, int] = {r2: r1}
+    queue = deque([r1])
     while queue:
         a = queue.popleft()
         b = fwd[a]
         outs1: dict[Letter, int] = {}
-        for e in g1.half_edges(a):
-            l = g1.label(e)
+        for e in out1[a]:
+            l = label1[e]
             if l in outs1:
                 raise ValueError("first graph is not well-labelled")
-            outs1[l] = g1.term(e)
+            outs1[l] = einit1[e ^ 1]
         outs2: dict[Letter, int] = {}
-        for e in g2.half_edges(b):
-            l = g2.label(e)
+        for e in out2[b]:
+            l = label2[e]
             if l in outs2:
                 raise ValueError("second graph is not well-labelled")
-            outs2[l] = g2.term(e)
+            outs2[l] = einit2[e ^ 1]
         if set(outs1) != set(outs2):
             return False
         for l in sorted(outs1, key=letter_key):

@@ -226,25 +226,45 @@ def random_labelled_graph(rng: random.Random, max_v: int = 7, max_e: int = 14):
 
 
 def naive_random_fold(g, rng: random.Random):
-    """Reference folding: pick any foldable pair at random until none remain."""
-    h = g.copy()
+    """Reference folding: pick any foldable pair at random until none remain.
+
+    It keeps its own union-find on a dict over the input's vertices and
+    its own list of arrows, so it shares no merging code with the library,
+    and returns a fresh graph on the classes (numbered in order of their
+    smallest vertex)."""
+    parent = {v: v for v in g.vertices()}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    arrows = [(g.init(e), g.label(e), g.term(e)) for e in g.edges()]
     while True:
-        candidates = []
-        for v in h.vertices():
-            seen = {}
-            for e in h.half_edges(v):
-                l = h.label(e)
-                if l in seen:
-                    candidates.append((seen[l], e))
+        seen = {}
+        candidates = []   # (terminal of the kept half-edge, arrow to drop, its terminal)
+        for k, (u, l, w) in enumerate(arrows):
+            for key, end in (((find(u), l), find(w)), ((find(w), l.inverse()), find(u))):
+                if key in seen:
+                    candidates.append((seen[key], k, end))
                 else:
-                    seen[l] = e
+                    seen[key] = end
         if not candidates:
-            return h
-        keep, drop = candidates[rng.randrange(len(candidates))]
-        t1, t2 = h.term(keep), h.term(drop)
-        h.remove_edge(drop)
+            break
+        t1, k, t2 = candidates[rng.randrange(len(candidates))]
+        del arrows[k]
         if t1 != t2:
-            h._union(t1, t2)
+            parent[t2] = t1
+    classes = {}
+    for v in sorted(parent):
+        classes.setdefault(find(v), len(classes))
+    h = LabeledGraph()
+    for _ in classes:
+        h.add_vertex()
+    for u, l, w in arrows:
+        h.add_edge(classes[find(u)], classes[find(w)], l)
+    h.set_basepoint(classes[find(g.basepoint)])
+    return h
 
 
 def loglog_slope(xs, ys) -> float:

@@ -172,6 +172,32 @@ def test_acceptance_kurosh_roundtrip(corpus):
     print(f"\nACCEPTANCE kurosh-roundtrip: PASS ({len(corpus)} subgroups)")
 
 
+def test_acceptance_reads_only_live_edges(corpus, monkeypatch):
+    # init and term are defined on live edges only: a dead edge keeps the
+    # endpoint it had when it died, which a later union does not rewrite
+    reads = Counter()
+
+    def live_only(name, fn):
+        def wrapper(g, e):
+            assert g._ealive[e], f"{name} read dead half-edge {e}"
+            reads[name] += 1
+            return fn(g, e)
+
+        return wrapper
+
+    for name in ("init", "term"):
+        monkeypatch.setattr(LabeledGraph, name, live_only(name, getattr(LabeledGraph, name)))
+    for pair, gens in corpus:
+        sg = subgroup_graph(gens, pair)
+        d = decompose(sg)
+        assert verify(d, sg).ok
+        presentation(d, pair)
+    print(
+        f"\nACCEPTANCE live-edge reads: PASS ({reads['init']} init and {reads['term']} "
+        f"term reads over {len(corpus)} subgroups, none of a dead edge)"
+    )
+
+
 def test_acceptance_freeness_criterion(corpus):
     free_count = 0
     for pair, gens in corpus:
@@ -285,12 +311,16 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
         for name in ("components", "spanning_tree", "basic_step", "_covers", "_letters_at"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    # union-find walks: edge endpoints are kept at their roots, so only
+    # vertex ids handed in from outside (basepoints, walk roots) need one
+    monkeypatch.setattr(LabeledGraph, "find", counted("find", LabeledGraph.find))
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
-    counts.clear()
-    decompose(sg)
     covers = components(sg.graph)   # every component of a precover is a cover
     comps = len(covers)
+    verts = sg.vertex_count
+    counts.clear()
+    decompose(sg)
     assert build["components"] <= 3, f"{build['components']} component scans per build"
     # one cover test per component in saturate and one in certification
     assert build["_covers"] <= 2 * comps, (
@@ -308,12 +338,29 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
         f"{counts['_letters_at']} vertex letter checks per decompose for "
         f"{cover_vertices} cover vertices"
     )
-    print(
-        f"\nACCEPTANCE work-counts: PASS (components {build['components']} per build, "
+    # a find per walk root, not one per edge read (15,938 before endpoints
+    # were kept at their roots)
+    assert counts["find"] <= 2 * verts, (
+        f"{counts['find']} find calls per decompose for {verts} vertices"
+    )
+    summary = (
+        f"components {build['components']} per build, "
         f"{build['_covers']} cover tests per build for {comps} components, "
         f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
         f"for {counts['basic_step']} basic steps; {counts['_letters_at']} letter checks "
-        f"for {cover_vertices} cover vertices)"
+        f"for {cover_vertices} cover vertices; {counts['find']} finds per decompose for "
+        f"{verts} vertices"
+    )
+    # a trace resolves the basepoint once, not a vertex per letter
+    counts.clear()
+    for w in gens:
+        assert contains(sg, w)
+    assert counts["find"] <= 4 * len(gens), (
+        f"{counts['find']} find calls for {len(gens)} contains calls"
+    )
+    print(
+        f"\nACCEPTANCE work-counts: PASS ({summary}, {counts['find']} for "
+        f"{len(gens)} contains calls)"
     )
 
 

@@ -4,19 +4,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import freeprod
 from freeprod import (
+    FactorPair,
     LabeledGraph,
     Letter,
     bouquet,
     cayley_graph,
     components,
     cut_hairs,
+    decompose,
     dump,
     fold_all,
     make_cyclic,
     parse_word,
     pointed_iso,
+    prune_redundant,
+    saturate,
     spanning_tree,
     subgroup_graph,
     to_dot,
@@ -218,6 +225,84 @@ def test_fold_order_independence():
         ref = _naive_random_fold(g, rng)
         assert ours.is_well_labelled() and ref.is_well_labelled()
         assert pointed_iso(ours, ours.basepoint, ref, ref.basepoint)
+
+
+_LETTERS = [A, A.inverse(), B, B.inverse()]
+
+
+@st.composite
+def _labelled_graphs(draw):
+    """A connected labelled graph: a random tree plus random extra edges."""
+    n = draw(st.integers(1, 8))
+    g = LabeledGraph()
+    for _ in range(n):
+        g.add_vertex()
+    letter = st.sampled_from(_LETTERS)
+    for v in range(1, n):
+        g.add_edge(draw(st.integers(0, v - 1)), v, draw(letter))
+    vertex = st.integers(0, n - 1)
+    for u, v, l in draw(st.lists(st.tuples(vertex, vertex, letter), max_size=10)):
+        g.add_edge(u, v, l)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_graphs(), st.randoms(use_true_random=False))
+def test_fold_order_independence_property(g, rng):
+    ours = fold_all(g)
+    ref = _naive_random_fold(g, rng)
+    assert ours.is_well_labelled() and ref.is_well_labelled()
+    assert pointed_iso(ours, ours.basepoint, ref, ref.basepoint)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_graphs(), st.data())
+def test_counts_agree_with_the_lists(g, data):
+    # folding merges vertices and drops edges, hair cutting kills both, and
+    # a few more deletions leave dead edge ids behind
+    g = fold_all(g)
+    if data.draw(st.booleans()):
+        g = cut_hairs(g)
+    edges = g.edges()
+    for e in data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)) if edges else []:
+        g.remove_edge(e)
+    for v in g.vertices():
+        if v != g.basepoint and g.degree(v) == 0:
+            g.remove_vertex(v)
+    assert g.vertex_count() == len(g.vertices())
+    assert g.edge_count() == len(g.edges())
+
+
+_INVARIANT_PAIRS = {
+    "Z2*Z3": FactorPair(make_cyclic(2, "a"), make_cyclic(3, "b")),
+    "Z4*Z6": FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y")),
+}
+
+
+def _assert_endpoints_at_roots(g):
+    """Every live half-edge starts at a live root and sits in its list."""
+    for h in range(len(g._einit)):
+        if not g._ealive[h]:
+            continue
+        u = g._einit[h]
+        assert g.find(u) == u, f"half-edge {h} starts at merged vertex {u}"
+        assert g._valive[u], f"half-edge {h} starts at dead vertex {u}"
+        assert h in g._out[u], f"half-edge {h} is missing from the list of {u}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_live_edges_start_at_roots_through_the_pipeline(data):
+    pair = _INVARIANT_PAIRS[data.draw(st.sampled_from(sorted(_INVARIANT_PAIRS)))]
+    word = st.lists(st.sampled_from(pair.all_letters()), min_size=1, max_size=8)
+    gens = [tuple(w) for w in data.draw(st.lists(word, min_size=1, max_size=4))]
+    g = bouquet(gens, pair)
+    _assert_endpoints_at_roots(g)
+    prune = lambda g: prune_redundant(g, g.basepoint, pair)
+    for stage in (fold_all, cut_hairs, lambda g: saturate(g, pair), prune):
+        g = stage(g)
+        _assert_endpoints_at_roots(g)
+    _assert_endpoints_at_roots(decompose(subgroup_graph(gens, pair)).delta)
 
 
 def test_pointed_iso_is_equivalence():
