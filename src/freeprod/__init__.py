@@ -10,7 +10,6 @@ from .fingroup import (
     Presentation,
     cayley_graph,
     coset_graph,
-    format_symbol_word,
     from_presentation,
     from_table,
     make_cyclic,
@@ -60,6 +59,7 @@ from .words import (
     NormalWord,
     Word,
     WordSyntaxError,
+    format_symbol_word,
     free_reduce,
     inverse_word,
     letter_key,

@@ -34,7 +34,6 @@ from .fingroup import (
     FiniteGroup,
     GroupValidationError,
     GroupWord,
-    format_symbol_word,
     from_presentation,
     make_cyclic,
     parse_group_word,
@@ -42,7 +41,15 @@ from .fingroup import (
 from .kurosh import decompose, presentation, verify
 from .lgraph import InvariantError, components, to_dot
 from .precover import contains, index_if_finite, subgroup_graph
-from .words import Word, WordSyntaxError, normal_to_word, normalize, parse_word, render_word
+from .words import (
+    Word,
+    WordSyntaxError,
+    format_symbol_word,
+    normal_to_word,
+    normalize,
+    parse_word,
+    render_word,
+)
 
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
@@ -204,12 +211,9 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
     if kind == "presentation":
         labels = tuple(item for item, _ in gen_items)
         own_cap = sec.get("cap")
-        use_cap = cap
         if own_cap is not None:
-            if not own_cap[0].isdigit():
-                raise ProblemFileError("cap must be a positive integer", own_cap[1])
-            use_cap = min(cap, int(own_cap[0]))  # a section may lower the bound, not lift it
-        return from_presentation(labels, _relators(sec, labels) or [], cap=use_cap)
+            cap = min(cap, _cap_value(own_cap))  # a section may lower the bound, not lift it
+        return from_presentation(labels, _relators(sec, labels) or [], cap=cap)
 
     raise ProblemFileError(
         f"unknown factor type {kind!r} (expected cyclic, table or presentation)", tline, tcol
@@ -222,7 +226,17 @@ class Problem:
     generators: tuple[Word, ...]
 
 
+def _cap_value(entry: tuple[str, int, int]) -> int:
+    """The bound of a ``cap = N`` line: an integer of at least 1."""
+    value, line, col = entry
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise ProblemFileError("cap must be a positive integer", line, col)
+    return int(value)
+
+
 def load_problem(path: str | Path, cap: int | None = None) -> Problem:
+    if cap is not None and cap < 1:
+        raise ProblemFileError(f"--cap must be a positive integer, got {cap}")
     path = Path(path)
     try:
         text = path.read_text()
@@ -237,19 +251,13 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
         sec = sections[sorted(extra)[0]]
         raise ProblemFileError(f"unknown section [{sec.name}]", sec.line)
 
-    use_cap = cap
-    if use_cap is None:
+    if cap is None:   # --cap overrides [options]
         opt = sections.get("options")
-        if opt is not None and opt.get("cap") is not None:
-            value, line, col = opt.get("cap")
-            if not value.isdigit() or int(value) < 1:
-                raise ProblemFileError("cap must be a positive integer", line, col)
-            use_cap = int(value)
-    if use_cap is None:
-        use_cap = DEFAULT_CAP
+        own = None if opt is None else opt.get("cap")
+        cap = DEFAULT_CAP if own is None else _cap_value(own)
 
-    g1 = _build_factor(sections["factor1"], path.parent, use_cap)
-    g2 = _build_factor(sections["factor2"], path.parent, use_cap)
+    g1 = _build_factor(sections["factor1"], path.parent, cap)
+    g2 = _build_factor(sections["factor2"], path.parent, cap)
     pair = FactorPair(g1, g2)
 
     words: list[Word] = []

@@ -3,17 +3,18 @@
 Groups are multiplication tables over element ids 0..order-1 with a labelled
 generating set.  Every table is validated at construction, in time quadratic
 in the order per generator: int entries in range, a two-sided identity, two-sided
-inverses, the generating property, then Light's associativity test (with a
-witness triple on failure), which checks (a*b)*g == a*(b*g) only for the
-generators g.  That suffices once the generators generate, as
-``FiniteGroup._validate`` explains.
+inverses, int generator images that generate, then Light's associativity test
+(with a witness triple on failure), which checks (a*b)*g == a*(b*g) only for
+the generators g.  That suffices once the generators generate, as
+``FiniteGroup._validate`` explains.  Relator letters must name a generator
+with sign 1 or -1, and every relator must hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .lgraph import InvariantError, LabeledGraph, MonoComponent, spanning_tree
-from .words import Letter, Word, WordSyntaxError, _tokens, free_reduce, inverse_word
+from .lgraph import LabeledGraph, MonoComponent
+from .words import Letter, Word, WordSyntaxError, _tokens
 
 DEFAULT_CAP = 4096
 
@@ -56,7 +57,7 @@ class FiniteGroup:
             raise GroupValidationError(f"group order {self.order} exceeds cap {cap}")
         self._table = tuple(tuple(row) for row in table)
         self.generators: tuple[tuple[str, int], ...] = tuple(
-            (str(label), int(e)) for label, e in generators
+            (str(label), e) for label, e in generators
         )
         self.relators = None if relators is None else tuple(tuple(r) for r in relators)
         self._word_cache: dict[int, GroupWord] | None = None
@@ -107,8 +108,10 @@ class FiniteGroup:
         if len(set(labels)) != len(labels):
             raise GroupValidationError("generator labels are not pairwise distinct")
         for label, img in self.generators:
-            if not 0 <= img < n:
-                raise GroupValidationError(f"generator {label!r} image out of range")
+            if type(img) is not int or not 0 <= img < n:
+                raise GroupValidationError(
+                    f"generator {label!r} image {img!r} is not an int in range"
+                )
             if img == identity:
                 raise GroupValidationError(f"generator {label!r} maps to the identity")
         gen_images = [img for _, img in self.generators]
@@ -126,12 +129,14 @@ class FiniteGroup:
                         f"associativity fails at triple ({a}, {b}, {g})"
                     )
 
-        if self.relators:
-            for r in self.relators:
-                if self.evaluate(r) != identity:
-                    raise GroupValidationError(
-                        f"relator {r} does not hold in the group"
-                    )
+        for r in self.relators or ():
+            for gi, sign in r:
+                if type(gi) is not int or not 0 <= gi < len(labels):
+                    raise GroupValidationError(f"relator {r} names no generator {gi!r}")
+                if type(sign) is not int or sign not in (1, -1):
+                    raise GroupValidationError(f"relator {r} has sign {sign!r}, not 1 or -1")
+            if self.evaluate(r) != identity:
+                raise GroupValidationError(f"relator {r} does not hold in the group")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -408,19 +413,25 @@ def _append_cayley(g: LabeledGraph, group: FiniteGroup, factor: int) -> int:
     return base
 
 
+def _right_cosets(group: FiniteGroup, sub: frozenset[int]) -> tuple[list[int], list[int]]:
+    """The right cosets S*e of a subgroup, numbered by their smallest
+    element: the coset of each element, and each coset's smallest element."""
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for e in range(group.order):
+        if coset_of[e] < 0:
+            for s in sub:
+                coset_of[group.mult(s, e)] = len(reps)
+            reps.append(e)
+    return coset_of, reps
+
+
 def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:
     """Relative Cayley graph on the right cosets of ``sub``."""
     sub = frozenset(sub)
     if not group.is_subgroup(sub):
         raise GroupValidationError("subgroup set is not closed under the group operations")
-    coset_of = [None] * group.order
-    reps: list[int] = []
-    for e in range(group.order):
-        if coset_of[e] is None:
-            cid = len(reps)
-            reps.append(e)
-            for s in sub:
-                coset_of[group.mult(s, e)] = cid
+    coset_of, reps = _right_cosets(group, sub)
     g = LabeledGraph()
     for _ in reps:
         g.add_vertex()
@@ -431,15 +442,15 @@ def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:
     return g
 
 
-def _letters_at(g: LabeledGraph, u: int, factor: int | None, nletters: int) -> list[int]:
-    """The half-edges at the live vertex ``u`` of ``factor`` (of any factor
-    when None) in letter order: slot 2*gen + (sign < 0) holds the edge with
-    that letter.  Raises unless every slot holds exactly one edge."""
+def _letters_at(g: LabeledGraph, u: int, factor: int, nletters: int) -> list[int]:
+    """The half-edges of ``factor`` at the live vertex ``u`` in letter
+    order: slot 2*gen + (sign < 0) holds the edge with that letter.
+    Raises unless every slot holds exactly one edge."""
     label = g._elabel
     slots: list[int | None] = [None] * nletters
     for e in g._out[u]:
         f, gen, sign = label[e]
-        if factor is not None and f != factor:
+        if f != factor:
             continue
         k = 2 * gen + (sign < 0)
         if k >= nletters or slots[k] is not None:
@@ -451,20 +462,19 @@ def _letters_at(g: LabeledGraph, u: int, factor: int | None, nletters: int) -> l
 
 
 def _schreier_walk(
-    c: LabeledGraph, v: int, group: FiniteGroup, within: MonoComponent | None
+    c: LabeledGraph, v: int, group: FiniteGroup, within: MonoComponent
 ) -> tuple[frozenset[int], set[int]]:
-    """The loop subgroup at ``v`` in a cover and the direct ids of the
-    edges of its breadth-first spanning tree from ``v``.
+    """The loop subgroup at ``v`` in the component ``within`` and the
+    direct ids of the edges of its breadth-first spanning tree from ``v``.
 
     One pass checks each vertex's letters as it is dequeued, expands its
     edges in letter order and evaluates the tree elements t_u.  The
     Schreier rule then closes t_u * x * t_w^-1 over the non-tree edges
-    u -x-> w.  The graph (or the selected component) must be saturated.
+    u -x-> w.  A component is connected, so the pass reaches all of it;
+    it must be saturated.
     """
     v = c.find(v)
-    factor = None if within is None else within.factor
-    verts = frozenset(c.vertices()) if within is None else within.vertices
-    if v not in verts:
+    if v not in within.vertices:
         raise ValueError(f"vertex {v} is not in the cover")
     nletters = 2 * len(group.generators)
     mult, einit = group.mult, c._einit
@@ -475,7 +485,7 @@ def _schreier_walk(
     gens: set[int] = set()
     queue = [v]
     for u in queue:
-        for e, x in zip(_letters_at(c, u, factor, nletters), slot_elems):
+        for e, x in zip(_letters_at(c, u, within.factor, nletters), slot_elems):
             w = einit[e ^ 1]
             if w not in elem:
                 elem[w] = mult(elem[u], x)
@@ -483,24 +493,19 @@ def _schreier_walk(
                 queue.append(w)
             elif e ^ 1 != via.get(u):
                 gens.add(mult(mult(elem[u], x), group.inv(elem[w])))
-    for u in sorted(verts.difference(elem)):   # the rest of a disconnected graph
-        _letters_at(c, u, factor, nletters)
     gens.discard(group.identity)
     return group.closure(gens), {e & ~1 for e in via.values()}
 
 
 def schreier_stabilizer(
-    c: LabeledGraph,
-    v: int,
-    group: FiniteGroup,
-    within: MonoComponent | None = None,
+    c: LabeledGraph, v: int, group: FiniteGroup, within: MonoComponent
 ) -> frozenset[int]:
-    """The subgroup of ``group`` read along loops at ``v`` in a cover.
+    """The subgroup of ``group`` read along loops at ``v`` in the cover
+    component ``within`` of ``c``.
 
-    The graph (or the selected component) must be saturated; the one
-    breadth-first pass is ``_schreier_walk``, whose spanning tree
-    ``kurosh.basic_step`` keeps.  The loop subgroup does not depend on the
-    tree.
+    The component must be saturated; the one breadth-first pass is
+    ``_schreier_walk``, whose spanning tree ``kurosh.basic_step`` keeps.
+    The loop subgroup does not depend on the tree.
     """
     return _schreier_walk(c, v, group, within)[0]
 
@@ -524,49 +529,37 @@ class Presentation:
                     raise ValueError(f"relator uses undeclared symbol {sym!r}")
 
 
-def format_symbol_word(rel: tuple[tuple[str, int], ...]) -> str:
-    tokens = []
-    i = 0
-    while i < len(rel):
-        j = i
-        while j < len(rel) and rel[j] == rel[i]:
-            j += 1
-        sym, sign = rel[i]
-        exp = (j - i) * sign
-        tokens.append(sym if exp == 1 else f"{sym}^{exp}")
-        i = j
-    return " ".join(tokens)
-
-
 def _group_word_to_letters(w: GroupWord, factor: int) -> Word:
     return tuple(Letter(factor, gi, sign) for gi, sign in w)
 
 
-def reidemeister_schreier(
-    group: FiniteGroup, sub, factor: int = 1, prefix: str = "s"
-) -> Presentation:
+def reidemeister_schreier(group: FiniteGroup, sub, factor: int = 1) -> Presentation:
     """Presentation of a subgroup of a finite group on Schreier generators.
 
-    Relators of the ambient group are rewritten over the coset graph of the
-    subgroup: each non-tree edge of a BFS spanning tree is a symbol, and
-    every relator is read from every coset.  The reading runs over a dense
-    step table built once from each coset's half-edges: row c, column
-    2*gi + (sign < 0) holds the target coset and the crossed symbol
-    (name, +-1), or None on a tree edge.  A relator becomes a list of
-    column indices once, so rewriting costs O(index * sum |relator|) list
-    steps, with the symbol free reduction done on the way.  If the ambient
-    group carries no relators, a multiplication table presentation of the
-    subgroup is returned instead, flagged as a fallback.
+    The right cosets S*e, numbered by their smallest element as in
+    ``coset_graph``, form a table, not a graph: row c, column
+    2*gi + (sign < 0) holds the coset that letter leads to from c and the
+    symbol it crosses, (name, +-1), or None on a tree edge.  Right
+    multiplication permutes the cosets, so every row is full by
+    construction.  One breadth-first pass from the identity's coset, in
+    column order, fixes the Schreier tree and each coset's tree word and
+    its inverse.  Each non-tree edge c -gi-> c*g, in (coset, generator)
+    order, is a symbol aliased to word(c) gi word(c*g)^-1, which is
+    reduced: a tree word ends in gi^-1 at c, or in gi at c*g, only along
+    this edge.  Each relator, as column indices, is read from every coset
+    with the symbol free reduction on the way, in O(index * sum |relator|)
+    list steps.  A group without relators gets a multiplication table
+    presentation instead, flagged as a fallback.
     """
     sub = frozenset(sub)
+    if not group.is_subgroup(sub):
+        raise GroupValidationError("subgroup set is not closed under the group operations")
     if sub == {group.identity}:
         return Presentation((), (), {})
 
     if not group.relators:
-        if not group.is_subgroup(sub):   # coset_graph checks on the other branch
-            raise GroupValidationError("subgroup set is not closed under the group operations")
         members = [x for x in sorted(sub) if x != group.identity]
-        syms = {x: f"{prefix}{k + 1}" for k, x in enumerate(members)}
+        syms = {x: f"s{k + 1}" for k, x in enumerate(members)}
         relators = []
         for a in members:
             for b in members:
@@ -583,39 +576,33 @@ def reidemeister_schreier(
             tuple(syms[x] for x in members), tuple(relators), aliases, fallback=True
         )
 
-    cg = coset_graph(group, sub, factor=factor)
-    tree = spanning_tree(cg, cg.basepoint)
+    coset_of, reps = _right_cosets(group, sub)
+    slot_elems = [x for _, img in group.generators for x in (img, group.inv(img))]
+    step = [[(coset_of[group.mult(r, x)], None) for x in slot_elems] for r in reps]
+    letters = [Letter(factor, gi, sign) for gi in range(len(group.generators)) for sign in (1, -1)]
 
-    sym_of: dict[int, str] = {}
+    root = coset_of[group.identity]
+    word: dict[int, Word] = {root: ()}
+    inverse: dict[int, Word] = {root: ()}
+    tree: set[tuple[int, int]] = set()   # (coset, positive column) of each tree edge
+    queue = [root]
+    for c in queue:
+        for col, (t, _) in enumerate(step[c]):
+            if t not in word:
+                word[t] = word[c] + (letters[col],)
+                inverse[t] = (letters[col ^ 1],) + inverse[c]
+                tree.add((t, col ^ 1) if col & 1 else (c, col))
+                queue.append(t)
+
     aliases: dict[str, Word] = {}
-    order: list[str] = []
-    for e in sorted(cg.edges()):
-        if e in tree.geo_edges:
-            continue
-        name = f"{prefix}{len(order) + 1}"
-        sym_of[e] = name
-        order.append(name)
-        alias = (
-            tree.word_to(cg, cg.init(e))
-            + (cg.label(e),)
-            + inverse_word(tree.word_to(cg, cg.term(e)))
-        )
-        aliases[name] = free_reduce(alias)
-
-    # coset_graph numbers the cosets 0..index-1 and never merges them
-    ncols = 2 * len(group.generators)
-    step: list[list[tuple[int, tuple[str, int] | None] | None]] = []
-    for c in range(cg.vertex_count()):
-        row = [None] * ncols
-        for e in cg.half_edges(c):
-            letter = cg.label(e)
-            geo = e & ~1
-            # symbol orientation follows the stored direct half
-            sym = None if geo in tree.geo_edges else (sym_of[geo], 1 if e == geo else -1)
-            row[2 * letter.gen + (letter.sign < 0)] = (cg.term(e), sym)
-        if None in row:
-            raise InvariantError("a coset graph is not saturated")
-        step.append(row)
+    for c, row in enumerate(step):
+        for col in range(0, len(row), 2):
+            t = row[col][0]
+            if (c, col) not in tree:
+                name = f"s{len(aliases) + 1}"
+                aliases[name] = word[c] + (letters[col],) + inverse[t]
+                row[col] = (t, (name, 1))
+                step[t][col + 1] = (c, (name, -1))
 
     def rewrite(cur: int, cols: list[int]) -> tuple[tuple[str, int], ...]:
         red: list[tuple[str, int]] = []   # freely reduced as it is read
@@ -637,7 +624,7 @@ def reidemeister_schreier(
             if rel and rel not in seen:
                 seen.add(rel)
                 relators.append(rel)
-    return Presentation(tuple(order), tuple(relators), aliases)
+    return Presentation(tuple(aliases), tuple(relators), aliases)
 
 
 class FactorPair:

@@ -135,10 +135,6 @@ class LabeledGraph:
     def label(self, e: int) -> Letter:
         return self._elabel[e]
 
-    @staticmethod
-    def reverse(e: int) -> int:
-        return e ^ 1
-
     def positive_half(self, e: int) -> int:
         """The half of e's geometric edge whose label has positive sign."""
         return e if self._elabel[e].sign > 0 else e ^ 1
@@ -263,7 +259,6 @@ class MonoComponent:
     vertices: frozenset[int]
     edges: tuple[int, ...]       # direct half-edge ids, sorted
     vb: frozenset[int]           # bichromatic vertices of the component
-    vm: frozenset[int]           # monochromatic vertices of the component
 
     @property
     def min_vertex(self) -> int:
@@ -394,7 +389,6 @@ def components(g: LabeledGraph) -> list[MonoComponent]:
                     vertices=frozenset(verts),
                     edges=tuple(sorted(geo)),
                     vb=frozenset(vb),
-                    vm=frozenset(verts - vb),
                 )
             )
     return comps

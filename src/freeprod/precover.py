@@ -119,7 +119,7 @@ def _redundant(comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
     return (
         len(comp.vertices) == pair.factor(comp.factor).order
         and len(comp.vb) <= 1
-        and v0 not in comp.vm
+        and (v0 not in comp.vertices or v0 in comp.vb)
     )
 
 

@@ -114,19 +114,28 @@ def parse_word(text: str, pair: "FactorPair") -> Word:
     return tuple(letters)
 
 
-def render_word(w: Word, pair: "FactorPair") -> str:
-    """Inverse of parse_word, with runs compressed to ``name^k`` tokens."""
-    tokens: list[str] = []
+def format_symbol_word(rel: tuple[tuple[str, int], ...]) -> str:
+    """Render (name, +-1) pairs with runs compressed to ``name^k`` tokens."""
+    tokens = []
     i = 0
-    while i < len(w):
+    while i < len(rel):
         j = i
-        while j < len(w) and w[j] == w[i]:
+        while j < len(rel) and rel[j] == rel[i]:
             j += 1
-        name = pair.factor(w[i].factor).generators[w[i].gen][0]
-        exp = (j - i) * w[i].sign
-        tokens.append(name if exp == 1 else f"{name}^{exp}")
+        sym, sign = rel[i]
+        exp = (j - i) * sign
+        tokens.append(sym if exp == 1 else f"{sym}^{exp}")
         i = j
     return " ".join(tokens)
+
+
+def render_word(w: Word, pair: "FactorPair") -> str:
+    """Inverse of parse_word, with runs compressed to ``name^k`` tokens.
+    Generator labels are distinct, so runs of equal (label, sign) pairs are
+    runs of equal letters."""
+    return format_symbol_word(
+        tuple((pair.factor(l.factor).generators[l.gen][0], l.sign) for l in w)
+    )
 
 
 def free_reduce(w: Word) -> Word:

@@ -342,9 +342,7 @@ def reference_components(g):
                         stack.append(w)
             seen |= verts
             vb = frozenset(v for v in verts if len(colours[v]) == 2)
-            comps.append(
-                MonoComponent(factor, frozenset(verts), tuple(sorted(geo)), vb, frozenset(verts) - vb)
-            )
+            comps.append(MonoComponent(factor, frozenset(verts), tuple(sorted(geo)), vb))
     comps.sort(key=lambda c: (c.min_vertex, c.factor))
     return comps
 
@@ -435,7 +433,7 @@ def reference_saturate(g, pair: FactorPair):
         comps = components(h)
 
 
-def reference_reidemeister_schreier(group, sub, factor: int = 1, prefix: str = "s"):
+def reference_reidemeister_schreier(group, sub, factor: int = 1):
     """Reidemeister-Schreier rewriting as first written, for a group with
     relators: every relator letter is one ``out_edge`` walk step in the
     coset graph, and the symbol word is freely reduced afterwards."""
@@ -450,7 +448,7 @@ def reference_reidemeister_schreier(group, sub, factor: int = 1, prefix: str = "
     for e in sorted(cg.edges()):
         if e in tree.geo_edges:
             continue
-        name = f"{prefix}{len(order) + 1}"
+        name = f"s{len(order) + 1}"
         sym_of[e] = name
         order.append(name)
         alias = (

@@ -367,7 +367,8 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
 def test_acceptance_rewrite_work_counts(monkeypatch):
     # graph queries made by Reidemeister-Schreier for the order-8 subgroup
     # of Z512: the relator a^512 read at 64 cosets must not walk the coset
-    # graph letter by letter (that made 131,527 of these calls)
+    # graph letter by letter (that made 131,527 of these calls), and the
+    # presentation is read off the coset table without building a graph
     group = make_cyclic(512, "a")
     sub = group.closure([64])
     half_edges = 2 * coset_graph(group, sub, factor=2).edge_count()
@@ -380,17 +381,20 @@ def test_acceptance_rewrite_work_counts(monkeypatch):
 
         return wrapper
 
-    for name in ("out_edge", "term", "find"):
+    for name in ("out_edge", "term", "find", "add_vertex", "add_edge"):
         monkeypatch.setattr(LabeledGraph, name, counted(name, getattr(LabeledGraph, name)))
     pres = reidemeister_schreier(group, sub, factor=2)
-    calls = sum(counts.values())
+    built = counts["add_vertex"] + counts["add_edge"]
+    calls = counts["out_edge"] + counts["term"] + counts["find"]
     assert pres.relators == (((pres.generators[0], 1),) * 8,)
+    assert built == 0, f"Reidemeister-Schreier built a graph ({dict(counts)})"
     assert calls <= 8 * half_edges, (
         f"{calls} graph queries for {half_edges} coset graph half-edges ({dict(counts)})"
     )
     print(
         f"\nACCEPTANCE rewrite-work-counts: PASS ({calls} out_edge/term/find calls "
-        f"for {half_edges} half-edges, bound {8 * half_edges})"
+        f"for {half_edges} half-edges, bound {8 * half_edges}; {built} vertices "
+        "and edges built)"
     )
 
 
@@ -494,7 +498,7 @@ def test_acceptance_property_suites(z2z3, z4z6):
         sub = group.closure(seed)
         cg = coset_graph(group, sub)
         v = rng.choice(cg.vertices())
-        stab = schreier_stabilizer(cg, v, group)
+        stab = schreier_stabilizer(cg, v, group, components(cg)[0])
         assert len(stab) * cg.vertex_count() == group.order
     counts["schreier"] = n_schreier
 

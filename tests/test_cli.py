@@ -207,6 +207,27 @@ def test_section_cap_cannot_lift_the_bound(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "old, new, argv, where",
+    [
+        ("cap = 64", "cap = 0", (), "line 5, column 7"),
+        ("cap = 64", "cap = x", (), "line 5, column 7"),
+        ("cap = 64", "cap = \u00b2", (), "line 5, column 7"),
+        ("[factor2]", "[options]\ncap = 0\n\n[factor2]", (), "line 8, column 7"),
+        ("", "", ("--cap", "0"), "--cap"),
+        ("", "", ("--cap", "-3"), "--cap"),
+    ],
+)
+def test_cap_below_one_is_an_input_error(tmp_path, capsys, old, new, argv, where):
+    # the same check for a presentation section's cap and [options]' cap,
+    # with line and column; --cap below 1 is refused before anything is read
+    p = tmp_path / "s3.fp"
+    p.write_text(S3_FILE.replace(old, new) if old else S3_FILE)
+    code, out, err = _run(capsys, "build", p, *argv)
+    assert code == 2 and out == ""
+    assert "must be a positive integer" in err and where in err
+
+
 def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     monkeypatch.setattr(
         freeprod.cli, "verify", lambda d, sg: Verdict(False, "rebuilt graph differs")

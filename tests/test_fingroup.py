@@ -16,6 +16,7 @@ from freeprod import (
     GroupValidationError,
     Letter,
     cayley_graph,
+    components,
     coset_graph,
     from_presentation,
     from_table,
@@ -277,15 +278,20 @@ def test_coset_graph_rejects_nonsubgroup():
         coset_graph(z6, {0, 2})
 
 
+def _stabilizer(g, v, group):
+    # a Cayley or coset graph is one component
+    return schreier_stabilizer(g, v, group, components(g)[0])
+
+
 def test_schreier_stabilizer_examples():
     z6 = make_cyclic(6, "y")
     cg = cayley_graph(z6)
     for v in cg.vertices():
-        assert schreier_stabilizer(cg, v, z6) == frozenset({z6.identity})
+        assert _stabilizer(cg, v, z6) == frozenset({z6.identity})
     whole = coset_graph(z6, range(6))
-    assert schreier_stabilizer(whole, whole.basepoint, z6) == frozenset(range(6))
+    assert _stabilizer(whole, whole.basepoint, z6) == frozenset(range(6))
     half = coset_graph(z6, {0, 3})
-    assert schreier_stabilizer(half, half.basepoint, z6) == frozenset({0, 3})
+    assert _stabilizer(half, half.basepoint, z6) == frozenset({0, 3})
 
 
 def test_schreier_stabilizer_requires_saturation():
@@ -296,7 +302,7 @@ def test_schreier_stabilizer_requires_saturation():
     u, v = g.add_vertex(), g.add_vertex()
     g.add_edge(u, v, Letter(1, 0, 1))
     with pytest.raises(ValueError, match="saturated"):
-        schreier_stabilizer(g, u, z6)
+        _stabilizer(g, u, z6)
 
 
 def test_orbit_stabilizer_exhaustive():
@@ -304,9 +310,9 @@ def test_orbit_stabilizer_exhaustive():
         for sub in subgroups_of(group):
             cg = coset_graph(group, sub)
             for v in cg.vertices():
-                stab = schreier_stabilizer(cg, v, group)
+                stab = _stabilizer(cg, v, group)
                 assert len(stab) * cg.vertex_count() == group.order
-            assert schreier_stabilizer(cg, cg.basepoint, group) == sub
+            assert _stabilizer(cg, cg.basepoint, group) == sub
 
 
 def _presented_from(pres):
@@ -355,8 +361,8 @@ def test_reidemeister_schreier_fallback():
 
 
 def test_reidemeister_schreier_checks_the_subgroup_once(monkeypatch):
-    # the relators branch leaves the check to coset_graph, the fallback
-    # branch makes it itself; a non-subgroup is refused on both
+    # one check at the top, before the relators and fallback branches part;
+    # a non-subgroup is refused on both
     calls = []
     check = FiniteGroup.is_subgroup
 
@@ -422,6 +428,52 @@ def test_reidemeister_schreier_matches_reference_cyclic(n, data):
     assert _fields(reidemeister_schreier(group, sub, factor=2)) == _fields(
         reference_reidemeister_schreier(group, sub, factor=2)
     )
+
+
+@pytest.fixture(scope="module")
+def non_abelian():
+    return [
+        from_presentation(["s", "t"], ["s^2", "t^3", "s t s t s t s t s t"]),  # A5
+        # S5 and PSL(2,7) with the relators of the large-factors benchmark workload
+        from_presentation(
+            ["s", "t"], ["s^2", "t^5", "s t s t s t s t", "s t^-1 s t s t^-1 s t s t^-1 s t"]
+        ),
+        from_presentation(
+            ["x", "y"], ["x^2", "y^3", " ".join(["x y"] * 7), " ".join(["x y x y^-1"] * 4)]
+        ),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 2), st.data())
+def test_reidemeister_schreier_matches_reference_non_abelian(non_abelian, which, factor, data):
+    group = non_abelian[which]
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=2))
+    sub = group.closure(seeds)
+    assert _fields(reidemeister_schreier(group, sub, factor=factor)) == _fields(
+        reference_reidemeister_schreier(group, sub, factor=factor)
+    )
+
+
+_Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "generators, relators, message",
+    [
+        ([("x", 1)], (((0, 1),) * 4, ((0, 1), (0, 0))), "sign 0"),
+        ([("x", 1)], (((0, 1),) * 4, ((1, 1),)), "no generator 1"),
+        ([("x", 1)], (((-1, 1),) * 4,), "no generator -1"),
+        ([("x", 1.9)], None, "not an int"),
+        ([("x", "1")], None, "not an int"),
+    ],
+)
+def test_group_rejects_bad_relator_letters_and_generator_images(generators, relators, message):
+    # a sign-0 letter read as an inverse by evaluate but as positive by
+    # the Schreier rewrite; an index past (or before) the generators; an
+    # image that int() would have rounded or parsed
+    with pytest.raises(GroupValidationError, match=message):
+        FiniteGroup(_Z4, generators, relators=relators)
 
 
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0, None])
