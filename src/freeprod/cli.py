@@ -182,11 +182,10 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
     gen_items = _split_list(gvalue, gline, gcol)
 
     if kind == "cyclic":
-        if len(parts) != 2 or not parts[1].isdigit():
-            raise ProblemFileError("expected 'cyclic N'", tline, tcol)
+        message = "expected 'cyclic N' with N a positive integer"
+        n = _int_field(parts[1] if len(parts) == 2 else "", 1, message, tline, tcol)
         if len(gen_items) != 1:
             raise ProblemFileError("a cyclic factor takes exactly one generator", gline, gcol)
-        n = int(parts[1])
         if n > cap:
             raise CapExceededError(
                 f"line {tline}, column {tcol}: cyclic group order {n} exceeds cap {cap}"
@@ -200,11 +199,8 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
         gens = []
         for item, col in gen_items:
             name, sep, idx = item.partition(":")
-            if not sep or not idx.strip().isdigit():
-                raise ProblemFileError(
-                    f"table generators need the form name:id, got {item!r}", gline, col
-                )
-            gens.append((name.strip(), int(idx)))
+            message = f"table generators need the form name:id, got {item!r}"
+            gens.append((name.strip(), _int_field(idx.strip() if sep else "", 0, message, gline, col)))
         relators = _relators(sec, tuple(n for n, _ in gens))
         return FiniteGroup(table, gens, relators=relators, cap=cap)
 
@@ -226,12 +222,23 @@ class Problem:
     generators: tuple[Word, ...]
 
 
+def _int_field(text: str, least: int, message: str, line: int, col: int) -> int:
+    """The value of an ASCII decimal of at least ``least``; anything else
+    (``str.isdigit`` also admits superscripts, which ``int`` refuses) is an
+    input error at the line and column."""
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else least - 1
+    except ValueError:   # more digits than ``int`` converts
+        value = least - 1
+    if value < least:
+        raise ProblemFileError(message, line, col)
+    return value
+
+
 def _cap_value(entry: tuple[str, int, int]) -> int:
     """The bound of a ``cap = N`` line: an integer of at least 1."""
     value, line, col = entry
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise ProblemFileError("cap must be a positive integer", line, col)
-    return int(value)
+    return _int_field(value, 1, "cap must be a positive integer", line, col)
 
 
 def load_problem(path: str | Path, cap: int | None = None) -> Problem:

@@ -13,7 +13,7 @@ with sign 1 or -1, and every relator must hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .lgraph import LabeledGraph, MonoComponent
+from .lgraph import InvariantError, LabeledGraph, MonoComponent
 from .words import Letter, Word, WordSyntaxError, _tokens
 
 DEFAULT_CAP = 4096
@@ -241,7 +241,18 @@ def from_presentation(labels, relators, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def _enumerate_presentation(
     labels: tuple[str, ...], parsed: list[GroupWord], cap: int
 ) -> tuple[list[list[int]], list[int]]:
-    """Raw bounded enumeration: multiplication table plus generator images."""
+    """Raw bounded enumeration: multiplication table plus generator images.
+
+    One Hasse-Lindsay-Todd pass in coset order: each coset still live at
+    its turn has every relator scanned at it (defining and merging until
+    the relator closes there), then every missing letter defined.  Later
+    definitions and merges keep both properties.  A merge keeps the smaller
+    coset, so a live coset behind the pass has had its turn; the survivor's
+    row is the union of both rows, and a closed relator path stays closed.
+    After the pass every live coset has a full row and closes every
+    relator, so a second pass would change nothing, and a row with a gap
+    is a bug.
+    """
     nl = len(labels)
     # letters: 2*gi for the generator, 2*gi+1 for its inverse
     rel_letters = [
@@ -310,9 +321,8 @@ def _enumerate_presentation(
         else:
             table[b][x ^ 1] = a
 
-    def scan(alpha: int, word: list[int]) -> bool:
-        """Scan a relator at a coset, filling and merging; True if anything changed."""
-        changed = False
+    def scan(alpha: int, word: list[int]) -> None:
+        """Scan a relator at a coset, defining and merging until it closes there."""
         while True:
             alpha = find(alpha)
             f, i = alpha, 0
@@ -324,8 +334,7 @@ def _enumerate_presentation(
             if i == len(word):
                 if f != alpha:
                     join(f, alpha)
-                    return True
-                return changed
+                return
             b, j = alpha, len(word) - 1
             while j > i:
                 nxt = step(b, word[j] ^ 1)
@@ -334,30 +343,25 @@ def _enumerate_presentation(
                 b, j = nxt, j - 1
             if j == i:
                 connect(f, word[i], b)
-                return True
+                return
             define(f, word[i])
-            changed = True
 
-    while True:
-        changed = False
-        alpha = 0
-        while alpha < len(table):
-            if find(alpha) != alpha:
-                alpha += 1
-                continue
+    alpha = 0
+    while alpha < len(table):   # grows as cosets are defined
+        if find(alpha) == alpha:
             for word in rel_letters:
-                if word and scan(alpha, word):
-                    changed = True
+                if word:
+                    scan(alpha, word)
                 if find(alpha) != alpha:
                     break
-            if find(alpha) == alpha:
+            else:
                 for x in range(2 * nl):
                     if step(alpha, x) is None:
                         define(alpha, x)
-                        changed = True
-            alpha += 1
-        if not changed:
-            break
+        alpha += 1
+    live = [c for c in range(len(table)) if find(c) == c]
+    if any(None in table[c] for c in live):
+        raise InvariantError("coset enumeration left a live coset with an undefined letter")
 
     # deterministic numbering: BFS from the identity coset over the
     # positive letters in label order (they reach everything in a finite group)
@@ -371,11 +375,10 @@ def _enumerate_presentation(
         qi += 1
         for gi in range(nl):
             t = step(c, 2 * gi)
-            if t is not None and t not in number:
+            if t not in number:
                 number[t] = len(bfs)
                 tree.append((number[c], gi))
                 bfs.append(t)
-    live = [c for c in range(len(table)) if find(c) == c]
     if len(number) != len(live):
         raise GroupValidationError("generators do not reach every element")
 

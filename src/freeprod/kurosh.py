@@ -49,7 +49,6 @@ class ConjugatedFactor:
     conjugator_nf: NormalWord
     factor: int
     subgroup: frozenset[int]
-    component: int
     basepoint: int
 
     @property
@@ -62,7 +61,6 @@ class KuroshDecomposition:
     factors: tuple[ConjugatedFactor, ...]
     free_basis: tuple[Word, ...]
     delta: LabeledGraph
-    presentation: Presentation | None = None
 
     @property
     def free_rank(self) -> int:
@@ -139,9 +137,9 @@ def free_basis(delta: LabeledGraph, v0: int) -> list[Word]:
             continue
         h = delta.positive_half(e)
         w = (
-            tree.word_to(delta, delta.init(h))
+            tree.word_to(delta.init(h))
             + (delta.label(h),)
-            + inverse_word(tree.word_to(delta, delta.term(h)))
+            + inverse_word(tree.word_to(delta.term(h)))
         )
         basis.append(free_reduce(w))
     return basis
@@ -155,15 +153,15 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
     tree = spanning_tree(g, g.basepoint)
     rank = {v: i for i, v in enumerate(tree.order)}
     factors: list[ConjugatedFactor] = []
-    for k, comp in enumerate(mcc(g, pair)):
+    for comp in mcc(g, pair):
         reached = [u for u in comp.vertices if u in rank]
         if not reached:
-            raise ValueError("component is not reachable from the basepoint")
+            raise InvariantError("component is not reachable from the basepoint")
         v = min(reached, key=rank.__getitem__)
         stab = basic_step(g, comp, v, pair)
         if len(stab) == 1:
             continue
-        conjugator = tree.word_to(g, v)
+        conjugator = tree.word_to(v)
         nf = normalize(conjugator, pair)
         if nf and nf.syllables[-1][0] == comp.factor:
             raise InvariantError("a conjugator ends in its own factor")
@@ -173,7 +171,6 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
                 conjugator_nf=nf,
                 factor=comp.factor,
                 subgroup=stab,
-                component=k,
                 basepoint=v,
             )
         )

@@ -3,19 +3,20 @@
 Edges are stored as paired half-edges: ids 2k and 2k+1 are reverses of each
 other and carry inverse labels.  Vertices live in a union-find so that
 folding (identifying two edges with the same initial vertex and label)
-is a sequence of cheap merges; deleted vertices and edges keep their ids
-and are flagged dead, which keeps ids stable across the whole pipeline.
-A deleted edge leaves the adjacency lists at once: they hold live edges only.
-Each union rewrites the endpoint of every half-edge it moves to the
-survivor, so a live half-edge's recorded endpoint is always a root and
-reading an edge never walks the union-find: ``init``/``term`` are for live
-edges, and ``find`` only resolves vertex ids handed in from outside.
+is a sequence of cheap merges.  Ids are never reused, so they stay stable
+across the whole pipeline, but a removed element keeps no state: a vertex
+exists exactly when it has an adjacency list (merging or deleting it drops
+the list), and a deleted half-edge leaves its list and has no endpoint
+(``init`` reads -1).  Each union rewrites the endpoint of every half-edge it
+moves to the survivor, so a live half-edge's recorded endpoint is always a
+root and reading an edge never walks the union-find; ``find`` only
+resolves vertex ids handed in from outside.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .words import Letter, Word, letter_key
@@ -32,10 +33,8 @@ class LabeledGraph:
     def __init__(self) -> None:
         self._parent: list[int] = []
         self._csize: list[int] = []
-        self._valive: list[bool] = []
-        self._einit: list[int] = []
+        self._einit: list[int] = []      # -1 once the half-edge is deleted
         self._elabel: list[Letter] = []
-        self._ealive: list[bool] = []
         self._out: dict[int, list[int]] = {}
         self._base: int | None = None
 
@@ -45,7 +44,6 @@ class LabeledGraph:
         v = len(self._parent)
         self._parent.append(v)
         self._csize.append(1)
-        self._valive.append(True)
         self._out[v] = []
         if self._base is None:
             self._base = v
@@ -54,15 +52,16 @@ class LabeledGraph:
     def add_edge(self, u: int, v: int, letter: Letter) -> int:
         """Add a geometric edge u -> v with the given letter.
 
-        Returns the id of the direct half-edge; its reverse is id+1.
+        Returns the id of the direct half-edge; its reverse is id+1.  A
+        removed endpoint has no list: that is a KeyError, before any change.
         """
         u, v = self.find(u), self.find(v)
+        out_u, out_v = self._out[u], self._out[v]
         e = len(self._einit)
         self._einit.extend((u, v))
         self._elabel.extend((letter, letter.inverse()))
-        self._ealive.extend((True, True))
-        self._out[u].append(e)
-        self._out[v].append(e + 1)
+        out_u.append(e)
+        out_v.append(e + 1)
         return e
 
     def set_basepoint(self, v: int) -> None:
@@ -72,10 +71,8 @@ class LabeledGraph:
         g = LabeledGraph()
         g._parent = list(self._parent)
         g._csize = list(self._csize)
-        g._valive = list(self._valive)
         g._einit = list(self._einit)
         g._elabel = list(self._elabel)
-        g._ealive = list(self._ealive)
         g._out = {v: list(es) for v, es in self._out.items()}
         g._base = self._base
         return g
@@ -117,19 +114,19 @@ class LabeledGraph:
         return self.find(self._base)
 
     def vertices(self) -> list[int]:
-        return sorted(v for v in self._out if self._valive[v])
+        return sorted(self._out)
 
     def edges(self) -> list[int]:
         """Live geometric edges, as direct half-edge ids."""
-        return [e for e in range(0, len(self._einit), 2) if self._ealive[e]]
+        einit = self._einit
+        return [e for e in range(0, len(einit), 2) if einit[e] >= 0]
 
     def init(self, e: int) -> int:
-        """Initial vertex of a live half-edge.  A dead half-edge keeps the
-        endpoint it had when it was deleted: later unions do not rewrite it."""
+        """Initial vertex of a half-edge, or -1 once it is deleted."""
         return self._einit[e]
 
     def term(self, e: int) -> int:
-        """Terminal vertex of a live half-edge (see ``init``)."""
+        """Terminal vertex of a half-edge, or -1 once it is deleted."""
         return self._einit[e ^ 1]
 
     def label(self, e: int) -> Letter:
@@ -152,7 +149,7 @@ class LabeledGraph:
         return None
 
     def vertex_count(self) -> int:
-        return sum(1 for v in self._out if self._valive[v])
+        return len(self._out)
 
     def edge_count(self) -> int:
         """Every live half-edge sits in exactly one adjacency list."""
@@ -187,20 +184,22 @@ class LabeledGraph:
     # -- deletion ---------------------------------------------------------
 
     def remove_edge(self, e: int) -> None:
-        """Delete e's geometric edge; a dead edge is left alone.  ``list.remove``
-        keeps the other half-edges in order, so fold order and ids stay put."""
-        if not self._ealive[e]:
+        """Delete e's geometric edge: both halves leave their lists and lose
+        their endpoints; a deleted edge is left alone.  ``list.remove`` keeps
+        the other half-edges in order, so fold order and ids stay put."""
+        einit = self._einit
+        if einit[e] < 0:
             return
         for h in (e & ~1, e | 1):
-            self._ealive[h] = False
-            self._out[self._einit[h]].remove(h)
+            self._out[einit[h]].remove(h)
+            einit[h] = -1
 
     def remove_vertex(self, v: int) -> None:
-        """Delete a vertex; its incident edges must already be gone."""
+        """Delete a vertex and its adjacency list; its edges must already be gone."""
         v = self.find(v)
         if self.degree(v):
             raise InvariantError("removing a vertex with live edges")
-        self._valive[v] = False
+        del self._out[v]
 
     # -- folding ----------------------------------------------------------
 
@@ -214,7 +213,7 @@ class LabeledGraph:
             v = queue.popleft()
             queued.discard(v)
             v = self.find(v)
-            if not self._valive[v]:
+            if v not in self._out:
                 continue
             scanning = True
             while scanning:
@@ -267,30 +266,23 @@ class MonoComponent:
 
 @dataclass
 class SpanningTree:
+    """A spanning tree as it was built: its words do not read the graph,
+    which may lose edges or vertices afterwards."""
+
     root: int
-    geo_edges: frozenset[int]            # direct ids of tree edges
-    parent_edge: dict[int, int]          # vertex -> half-edge entering it
-    order: list[int] = field(default_factory=list)
+    geo_edges: frozenset[int]                 # direct ids of tree edges
+    parent: dict[int, tuple[int, Letter]]     # vertex -> (tree parent, letter in)
+    order: list[int]                          # vertices in BFS order
 
-    def path_to(self, g: LabeledGraph, v: int) -> tuple[int, ...]:
-        """Half-edges of the tree path root -> v.
-
-        The path reads the endpoints recorded in ``g``, not ``g.init``: a
-        tree edge deleted since the tree was built (``decompose`` deletes
-        the non-tree edges of covers) keeps its endpoints while no vertex
-        is merged."""
-        path: list[int] = []
-        einit, parent_edge = g._einit, self.parent_edge
-        v = g.find(v)
+    def word_to(self, v: int) -> Word:
+        """The tree word from the root to the vertex ``v``."""
+        word: list[Letter] = []
+        parent = self.parent
         while v != self.root:
-            e = parent_edge[v]
-            path.append(e)
-            v = einit[e]
-        path.reverse()
-        return tuple(path)
-
-    def word_to(self, g: LabeledGraph, v: int) -> Word:
-        return tuple(g.label(e) for e in self.path_to(g, v))
+            v, letter = parent[v]
+            word.append(letter)
+        word.reverse()
+        return tuple(word)
 
 
 def bouquet(gens: Iterable[Word], pair: "FactorPair") -> LabeledGraph:
@@ -328,13 +320,13 @@ def cut_hairs(g: LabeledGraph) -> LabeledGraph:
     queue = deque(v for v in h.vertices() if v != bp and len(out[v]) == 1)
     while queue:
         v = queue.popleft()
-        if not h._valive[v] or v == bp or len(out[v]) != 1:
+        if v not in out or v == bp or len(out[v]) != 1:
             continue
         e = out[v][0]
         w = h.term(e)
         h.remove_edge(e)
         h.remove_vertex(v)
-        if w != bp and h._valive[w]:
+        if w != bp:   # w ends a live edge, so it has a list
             d = len(out[w])
             if d == 1:
                 queue.append(w)
@@ -398,7 +390,7 @@ def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
     """BFS spanning tree, expanding edges in letter order for determinism."""
     out, label, einit = g._out, g._elabel, g._einit
     root = g.find(root)
-    parent_edge: dict[int, int] = {}
+    parent: dict[int, tuple[int, Letter]] = {}
     geo: set[int] = set()
     order = [root]
     seen = {root}
@@ -410,11 +402,11 @@ def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
             if w in seen:
                 continue
             seen.add(w)
-            parent_edge[w] = e
+            parent[w] = (v, label[e])
             geo.add(e & ~1)
             order.append(w)
             queue.append(w)
-    return SpanningTree(root=root, geo_edges=frozenset(geo), parent_edge=parent_edge, order=order)
+    return SpanningTree(root=root, geo_edges=frozenset(geo), parent=parent, order=order)
 
 
 def pointed_iso(g1: LabeledGraph, v1: int, g2: LabeledGraph, v2: int) -> bool:

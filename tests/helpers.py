@@ -452,9 +452,9 @@ def reference_reidemeister_schreier(group, sub, factor: int = 1):
         sym_of[e] = name
         order.append(name)
         alias = (
-            tree.word_to(cg, cg.init(e))
+            tree.word_to(cg.init(e))
             + (cg.label(e),)
-            + inverse_word(tree.word_to(cg, cg.term(e)))
+            + inverse_word(tree.word_to(cg.term(e)))
         )
         aliases[name] = free_reduce(alias)
 
@@ -495,6 +495,159 @@ def reference_free_reduce(w: Word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def reference_enumerate_presentation(labels, parsed, cap: int):
+    """Coset enumeration as first written: the whole define/scan/merge pass
+    repeats until a pass changes nothing; same numbering and errors."""
+    from freeprod import CapExceededError, GroupValidationError
+
+    nl = len(labels)
+    # letters: 2*gi for the generator, 2*gi+1 for its inverse
+    rel_letters = [
+        [2 * gi + (0 if sign > 0 else 1) for gi, sign in r] for r in parsed
+    ]
+
+    table: list[list[int | None]] = [[None] * (2 * nl)]
+    rep = [0]
+
+    def find(a: int) -> int:
+        root = a
+        while rep[root] != root:
+            root = rep[root]
+        while rep[a] != root:
+            rep[a], a = root, rep[a]
+        return root
+
+    def define(a: int, x: int) -> int:
+        if len(table) >= cap:
+            raise CapExceededError(
+                f"coset enumeration exceeded cap {cap}; "
+                "the presented group may be infinite or just large"
+            )
+        b = len(table)
+        table.append([None] * (2 * nl))
+        rep.append(b)
+        table[a][x] = b
+        table[b][x ^ 1] = a
+        return b
+
+    def join(a: int, b: int) -> None:
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            rep[b] = a
+            for x in range(2 * nl):
+                t = table[b][x]
+                if t is None:
+                    continue
+                u = table[a][x]
+                if u is None:
+                    table[a][x] = t
+                else:
+                    stack.append((t, u))
+
+    def step(a: int, x: int) -> int | None:
+        t = table[find(a)][x]
+        return None if t is None else find(t)
+
+    def connect(a: int, x: int, b: int) -> None:
+        a, b = find(a), find(b)
+        t = table[a][x]
+        if t is not None and find(t) != b:
+            join(t, b)
+            return
+        table[a][x] = b
+        a, b = find(a), find(b)
+        t = table[b][x ^ 1]
+        if t is not None and find(t) != a:
+            join(t, a)
+        else:
+            table[b][x ^ 1] = a
+
+    def scan(alpha: int, word: list[int]) -> bool:
+        """Scan a relator at a coset, filling and merging; True if anything changed."""
+        changed = False
+        while True:
+            alpha = find(alpha)
+            f, i = alpha, 0
+            while i < len(word):
+                nxt = step(f, word[i])
+                if nxt is None:
+                    break
+                f, i = nxt, i + 1
+            if i == len(word):
+                if f != alpha:
+                    join(f, alpha)
+                    return True
+                return changed
+            b, j = alpha, len(word) - 1
+            while j > i:
+                nxt = step(b, word[j] ^ 1)
+                if nxt is None:
+                    break
+                b, j = nxt, j - 1
+            if j == i:
+                connect(f, word[i], b)
+                return True
+            define(f, word[i])
+            changed = True
+
+    while True:
+        changed = False
+        alpha = 0
+        while alpha < len(table):
+            if find(alpha) != alpha:
+                alpha += 1
+                continue
+            for word in rel_letters:
+                if word and scan(alpha, word):
+                    changed = True
+                if find(alpha) != alpha:
+                    break
+            if find(alpha) == alpha:
+                for x in range(2 * nl):
+                    if step(alpha, x) is None:
+                        define(alpha, x)
+                        changed = True
+            alpha += 1
+        if not changed:
+            break
+
+    # deterministic numbering: BFS from the identity coset over the
+    # positive letters in label order (they reach everything in a finite group)
+    start = find(0)
+    number = {start: 0}
+    bfs = [start]
+    tree: list[tuple[int, int]] = []  # (parent number, generator) of bfs[1:]
+    qi = 0
+    while qi < len(bfs):
+        c = bfs[qi]
+        qi += 1
+        for gi in range(nl):
+            t = step(c, 2 * gi)
+            if t is not None and t not in number:
+                number[t] = len(bfs)
+                tree.append((number[c], gi))
+                bfs.append(t)
+    live = [c for c in range(len(table)) if find(c) == c]
+    if len(number) != len(live):
+        raise GroupValidationError("generators do not reach every element")
+
+    # the table column by column along the BFS tree: a*(b*g) = (a*b)*g,
+    # where x*g is one step of the complete coset table
+    right = [[number[step(c, 2 * gi)] for c in bfs] for gi in range(nl)]
+    cols = [list(range(len(bfs)))]
+    for parent, gi in tree:
+        cols.append(list(map(right[gi].__getitem__, cols[parent])))
+    mult = [list(row) for row in zip(*cols)]
+    images = [right[gi][0] for gi in range(nl)]
+    return mult, images
 
 
 def reference_index_if_finite(sg):

@@ -228,6 +228,31 @@ def test_cap_below_one_is_an_input_error(tmp_path, capsys, old, new, argv, where
     assert "must be a positive integer" in err and where in err
 
 
+@pytest.mark.parametrize(
+    "old, new, where, message",
+    [
+        ("cyclic 3", "cyclic \u00b3", "line 6, column 8", "expected 'cyclic N'"),
+        ("cyclic 3", "cyclic " + "9" * 5000, "line 6, column 8", "expected 'cyclic N'"),
+        ("cyclic 3", "cyclic 0", "line 6, column 8", "N a positive integer"),
+        ("a:1", "a:\u00b9", "line 3, column 14", "name:id"),
+        ("c:2", "c:\u00b2", "line 3, column 19", "name:id"),
+        ("c:2", "c 2", "line 3, column 19", "name:id"),
+    ],
+    ids=["superscript-order", "huge-order", "zero-order", "superscript-id", "second-id", "no-colon"],
+)
+def test_factor_integers_are_ascii_digits(tmp_path, capsys, old, new, where, message):
+    # ``cyclic N`` and a table generator's ``name:id`` follow the cap's
+    # integer rule: a superscript digit, an unconvertible number or an
+    # order below 1 is an input error with line and column, not a traceback
+    rows = [[i ^ j for j in range(4)] for i in range(4)]
+    (tmp_path / "klein.tbl").write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+    p = tmp_path / "klein.fp"
+    p.write_text(KLEIN_FILE.replace(old, new))
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and message in err
+
+
 def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     monkeypatch.setattr(
         freeprod.cli, "verify", lambda d, sg: Verdict(False, "rebuilt graph differs")
@@ -263,6 +288,26 @@ def test_uncertified_graph_exits_4(psl2_file, capsys, monkeypatch, command, flag
         record = ""   # kurosh neither decomposes nor verifies an uncertified graph
     assert out == record
     assert len(err.splitlines()) == 1 and err.startswith("certification failed: ")
+
+
+def test_present_refuses_an_unreachable_cover(psl2_file, capsys, monkeypatch):
+    # a detached b-triangle is a cover that no tree word reaches: decompose
+    # stops with an InvariantError, and present reports the certification
+    real = freeprod.cli.subgroup_graph
+
+    def detached(gens, pair):
+        sg = real(gens, pair)
+        g = sg.graph.copy()
+        u, v, w = (g.add_vertex() for _ in range(3))
+        for x, y in ((u, v), (v, w), (w, u)):
+            g.add_edge(x, y, freeprod.Letter(2, 0, 1))
+        verdict = freeprod.is_precover(g, pair)
+        return dataclasses.replace(sg, graph=g, precover_ok=verdict.ok, reason=verdict.reason)
+
+    monkeypatch.setattr(freeprod.cli, "subgroup_graph", detached)
+    code, out, err = _run(capsys, "present", psl2_file)
+    assert code == 4 and out == ""
+    assert err == "certification failed: graph is not connected\n"
 
 
 _UNSATURATED = "component 0 (factor 1) is not saturated: vertex 1 has no edge labelled a"

@@ -30,6 +30,7 @@ from freeprod import (
 from helpers import (
     groups_isomorphic,
     is_group_generated_by,
+    reference_enumerate_presentation,
     reference_reidemeister_schreier,
     subgroups_of,
     table_invariant,
@@ -403,6 +404,54 @@ def test_reidemeister_schreier_roundtrip_all_subgroups():
             assert table_invariant(table) == table_invariant(
                 target._table, target.identity
             )
+
+
+def _enumerated(enumerate_, labels, relators, cap):
+    """What an enumerator returns, or the type and message of its error."""
+    try:
+        return enumerate_(labels, relators, cap)
+    except (CapExceededError, GroupValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _power(word, n):
+    return " ".join([word] * n)
+
+
+_NAMED_PRESENTATIONS = [
+    (["a", "b"], ["a^2", "b^3", _power("a b", 7), _power("a b a b^-1", 4)]),   # PSL(2,7)
+    (["a", "b"], ["a^2", "b^3", _power("a b", 5)]),                            # A5
+    (["a", "b"], ["a^2", "b^3", _power("a b", 4)]),                            # S4
+    (["i", "j"], ["i^4", "i^2 j^-2", "j^-1 i j i"]),                           # Q8
+    (["r", "s"], ["r^7", "s^2", "s r s r"]),                                   # D7
+    (["z"], ["z^64"]),
+    (["a", "b"], ["a^2", "b^2", _power("a b", 3), "a^3"]),   # collapses to Z1
+    (["a", "b"], ["a^2", "b^3"]),                            # infinite: the cap
+]
+
+
+@pytest.mark.parametrize("labels, relators", _NAMED_PRESENTATIONS)
+def test_one_pass_enumeration_matches_reference_named(labels, relators):
+    from freeprod.fingroup import _enumerate_presentation, parse_group_word
+
+    parsed = [parse_group_word(r, tuple(labels)) for r in relators]
+    ours = _enumerated(_enumerate_presentation, labels, parsed, 1024)
+    assert ours == _enumerated(reference_enumerate_presentation, labels, parsed, 1024)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_enumeration_matches_reference(data):
+    # random relator sets: the one-pass table, or its error, is the
+    # fixpoint loop's
+    from freeprod.fingroup import _enumerate_presentation
+
+    nl = data.draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, nl - 1), st.sampled_from([1, -1]))
+    relators = data.draw(st.lists(st.lists(letter, max_size=8).map(tuple), max_size=4))
+    labels = tuple(f"g{i}" for i in range(nl))
+    ours = _enumerated(_enumerate_presentation, labels, relators, 64)
+    assert ours == _enumerated(reference_enumerate_presentation, labels, relators, 64)
 
 
 def _fields(pres):

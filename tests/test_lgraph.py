@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,7 +260,7 @@ def test_fold_order_independence_property(g, rng):
 @given(_labelled_graphs(), st.data())
 def test_counts_agree_with_the_lists(g, data):
     # folding merges vertices and drops edges, hair cutting kills both, and
-    # a few more deletions leave dead edge ids behind
+    # a few more deletions leave deleted edge ids behind
     g = fold_all(g)
     if data.draw(st.booleans()):
         g = cut_hairs(g)
@@ -273,6 +274,39 @@ def test_counts_agree_with_the_lists(g, data):
     assert g.edge_count() == len(g.edges())
 
 
+def test_removed_elements_keep_no_state():
+    g = LabeledGraph()
+    u, v, w = (g.add_vertex() for _ in range(3))
+    e = g.add_edge(u, v, A)
+    f = g.add_edge(v, w, B)
+    g.remove_edge(f)
+    assert g.edges() == [e] and g.edge_count() == 1
+    assert (g.init(f), g.term(f), g.init(f ^ 1)) == (-1, -1, -1)
+    g.remove_edge(f ^ 1)   # deleting it again changes nothing
+    assert g.half_edges(v) == [e ^ 1]
+    g.remove_vertex(w)
+    assert g.vertices() == [u, v] and g.vertex_count() == 2
+    with pytest.raises(KeyError):
+        g.add_edge(u, w, A)
+    with pytest.raises(KeyError):
+        g.degree(w)
+    assert g.edges() == [e]   # the refused edge left nothing behind
+
+
+def test_tree_words_survive_deleting_tree_edges():
+    # the tree keeps its own words: deleting the edges it was built from,
+    # as decompose's basic steps do, changes no word
+    g = cayley_graph(make_cyclic(6, "y"), factor=2)
+    tree = spanning_tree(g, 0)
+    words = {v: tree.word_to(v) for v in tree.order}
+    for v, word in words.items():
+        assert trace(g, 0, word).vertex == v
+    assert len(words[3]) == 3
+    for e in g.edges():
+        g.remove_edge(e)
+    assert {v: tree.word_to(v) for v in tree.order} == words
+
+
 _INVARIANT_PAIRS = {
     "Z2*Z3": FactorPair(make_cyclic(2, "a"), make_cyclic(3, "b")),
     "Z4*Z6": FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y")),
@@ -280,14 +314,16 @@ _INVARIANT_PAIRS = {
 
 
 def _assert_endpoints_at_roots(g):
-    """Every live half-edge starts at a live root and sits in its list."""
-    for h in range(len(g._einit)):
-        if not g._ealive[h]:
-            continue
-        u = g._einit[h]
-        assert g.find(u) == u, f"half-edge {h} starts at merged vertex {u}"
-        assert g._valive[u], f"half-edge {h} starts at dead vertex {u}"
-        assert h in g._out[u], f"half-edge {h} is missing from the list of {u}"
+    """Every vertex with a list is a root, every listed half-edge starts
+    there, and a half-edge in no list has no endpoint."""
+    listed = set()
+    for v, hs in g._out.items():
+        assert g.find(v) == v, f"merged vertex {v} keeps a list"
+        for h in hs:
+            assert g._einit[h] == v, f"half-edge {h} in the list of {v} starts elsewhere"
+            listed.add(h)
+    for h, u in enumerate(g._einit):
+        assert (h in listed) == (u >= 0), f"half-edge {h} (from {u}) is listed iff live"
 
 
 @settings(max_examples=200, deadline=None)
