@@ -44,6 +44,7 @@ from .precover import contains, index_if_finite, subgroup_graph
 from .words import (
     Word,
     WordSyntaxError,
+    ascii_int,
     format_symbol_word,
     normal_to_word,
     normalize,
@@ -223,14 +224,10 @@ class Problem:
 
 
 def _int_field(text: str, least: int, message: str, line: int, col: int) -> int:
-    """The value of an ASCII decimal of at least ``least``; anything else
-    (``str.isdigit`` also admits superscripts, which ``int`` refuses) is an
-    input error at the line and column."""
-    try:
-        value = int(text) if text.isascii() and text.isdigit() else least - 1
-    except ValueError:   # more digits than ``int`` converts
-        value = least - 1
-    if value < least:
+    """The value of an ASCII decimal (``words.ascii_int``) of at least
+    ``least``; anything else is an input error at the line and column."""
+    value = ascii_int(text)
+    if value is None or value < least:
         raise ProblemFileError(message, line, col)
     return value
 

@@ -6,8 +6,9 @@ in the order per generator: int entries in range, a two-sided identity, two-side
 inverses, int generator images that generate, then Light's associativity test
 (with a witness triple on failure), which checks (a*b)*g == a*(b*g) only for
 the generators g.  That suffices once the generators generate, as
-``FiniteGroup._validate`` explains.  Relator letters must name a generator
-with sign 1 or -1, and every relator must hold.
+``FiniteGroup._validate`` explains.  Every generator label must be a word
+token a word can name, relator letters must name a generator with sign 1
+or -1, and every relator must hold.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ def parse_group_word(text: str, labels: tuple[str, ...]) -> GroupWord:
         sign = 1 if exp > 0 else -1
         out.extend([(gi, sign)] * abs(exp))
     return tuple(out)
+
+
+def _check_label(label: str) -> None:
+    """Refuse a generator label that no word can name: one that the word
+    tokenizer does not read back as itself with exponent 1."""
+    try:
+        named = [(name, exp) for name, exp, _ in _tokens(label)] == [(label, 1)]
+    except WordSyntaxError:
+        named = False
+    if not named:
+        raise GroupValidationError(f"generator label {label!r} is not a word token")
 
 
 class FiniteGroup:
@@ -105,6 +117,8 @@ class FiniteGroup:
         self._inv = tuple(inv)
 
         labels = [label for label, _ in self.generators]
+        for label in labels:
+            _check_label(label)
         if len(set(labels)) != len(labels):
             raise GroupValidationError("generator labels are not pairwise distinct")
         for label, img in self.generators:
@@ -230,6 +244,8 @@ def from_presentation(labels, relators, cap: int = DEFAULT_CAP) -> FiniteGroup:
     identity in label order, so the numbering is reproducible.
     """
     labels = tuple(str(l) for l in labels)
+    for label in labels:
+        _check_label(label)
     parsed: list[GroupWord] = []
     for r in relators:
         parsed.append(parse_group_word(r, labels) if isinstance(r, str) else tuple(r))

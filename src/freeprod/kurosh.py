@@ -3,17 +3,19 @@
 One breadth-first spanning tree from the basepoint, built before anything
 is deleted, fixes every conjugator: the first vertex of a cover component
 in the tree's BFS order is the component's basepoint, and the tree word to
-it is the conjugator.  Each cover component is then read by one walk from
-its basepoint, the same walk that tests covers: it yields the loop
-subgroup (a factor when non-trivial) and a spanning tree of the component,
-which replaces the component in place on one working copy of the graph.
+it is the conjugator.  The covers are read in that order, factor 1 first
+at a shared basepoint, so the factors are listed in BFS order of their
+basepoints and conjugator lengths never decrease down the list.  Each
+cover component is read by one walk from its basepoint, the same walk
+that tests covers: it yields the loop subgroup (a factor when non-trivial)
+and a spanning tree of the component, which replaces the component in
+place on one working copy of the graph.
 Once every component is a tree the residual graph determines a free
 group, whose basis is read off the non-tree edges of a spanning tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .fingroup import (
@@ -68,41 +70,8 @@ class KuroshDecomposition:
 
 
 def mcc(g: LabeledGraph, pair: FactorPair) -> list[MonoComponent]:
-    """Cover components, ordered for the decomposition loop.
-
-    The component holding the basepoint comes first; the rest follow in BFS
-    order over the adjacency through shared (bichromatic) vertices, so that
-    consecutive components touch whenever possible.  Components reachable
-    only through tree territory start fresh BFS islands.
-    """
-    covers = [c for c in components(g) if component_is_cover(g, c, pair)]
-    if not covers:
-        return []
-    at: dict[int, list[int]] = {}   # vertex -> indices of the covers holding it
-    for i, c in enumerate(covers):
-        for v in c.vertices:
-            at.setdefault(v, []).append(i)
-    ordered: list[MonoComponent] = []
-    seen = [False] * len(covers)
-
-    def bfs(seed: int) -> None:
-        queue = deque([seed])
-        seen[seed] = True
-        while queue:
-            c = covers[queue.popleft()]
-            ordered.append(c)
-            nbrs = {i for v in c.vb for i in at[v] if not seen[i]}
-            for i in sorted(nbrs, key=lambda i: (covers[i].min_vertex, covers[i].factor)):
-                seen[i] = True
-                queue.append(i)
-
-    starts = sorted(at.get(g.basepoint, ()), key=lambda i: covers[i].factor)
-    if starts:
-        bfs(starts[0])
-    for i in range(len(covers)):   # components() sorts by (min_vertex, factor)
-        if not seen[i]:
-            bfs(i)
-    return ordered
+    """The cover components of ``g``, in ``components()`` order."""
+    return [c for c in components(g) if component_is_cover(g, c, pair)]
 
 
 def basic_step(g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair) -> frozenset[int]:
@@ -151,29 +120,37 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
     pair = sg.pair
     g = sg.graph.copy()
     tree = spanning_tree(g, g.basepoint)
-    rank = {v: i for i, v in enumerate(tree.order)}
+    covers = mcc(g, pair)
+    at: dict[int, list[int]] = {}   # vertex -> the covers through it, factor 1 first
+    for i in sorted(range(len(covers)), key=lambda i: covers[i].factor):
+        for u in covers[i].vertices:
+            at.setdefault(u, []).append(i)
+    unread = set(range(len(covers)))
     factors: list[ConjugatedFactor] = []
-    for comp in mcc(g, pair):
-        reached = [u for u in comp.vertices if u in rank]
-        if not reached:
-            raise InvariantError("component is not reachable from the basepoint")
-        v = min(reached, key=rank.__getitem__)
-        stab = basic_step(g, comp, v, pair)
-        if len(stab) == 1:
-            continue
-        conjugator = tree.word_to(v)
-        nf = normalize(conjugator, pair)
-        if nf and nf.syllables[-1][0] == comp.factor:
-            raise InvariantError("a conjugator ends in its own factor")
-        factors.append(
-            ConjugatedFactor(
-                conjugator=conjugator,
-                conjugator_nf=nf,
-                factor=comp.factor,
-                subgroup=stab,
-                basepoint=v,
+    for v in tree.order:
+        for i in at.get(v, ()):
+            if i not in unread:
+                continue
+            unread.remove(i)
+            comp = covers[i]
+            stab = basic_step(g, comp, v, pair)
+            if len(stab) == 1:
+                continue
+            conjugator = tree.word_to(v)
+            nf = normalize(conjugator, pair)
+            if nf and nf.syllables[-1][0] == comp.factor:
+                raise InvariantError("a conjugator ends in its own factor")
+            factors.append(
+                ConjugatedFactor(
+                    conjugator=conjugator,
+                    conjugator_nf=nf,
+                    factor=comp.factor,
+                    subgroup=stab,
+                    basepoint=v,
+                )
             )
-        )
+    if unread:
+        raise InvariantError("component is not reachable from the basepoint")
     try:
         basis = free_basis(g, sg.graph.basepoint)
     except ValueError as exc:

@@ -68,6 +68,22 @@ _TOKEN = re.compile(r"\S+")
 MAX_WORD_LETTERS = 1 << 20
 
 
+def ascii_int(text: str) -> int | None:
+    """The value of ``text`` when it is ASCII decimal digits, else None.
+
+    ``int`` also reads other scripts' digits, underscores, a sign and
+    surrounding blanks, and ``str.isdigit`` admits superscripts; every
+    number in the input language is ASCII digits only.  None too for more
+    digits than ``int`` converts.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _tokens(text: str) -> list[tuple[str, int, int]]:
     """Split word text into (name, exponent, column) triples."""
     out = []
@@ -79,10 +95,12 @@ def _tokens(text: str) -> list[tuple[str, int, int]]:
         if not name:
             raise WordSyntaxError(f"malformed token {tok!r}", col)
         if sep:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise WordSyntaxError(f"malformed exponent in {tok!r}", col) from None
+            signed = exp_text[:1] in ("+", "-")
+            exp = ascii_int(exp_text[1:] if signed else exp_text)
+            if exp is None:
+                raise WordSyntaxError(f"malformed exponent in {tok!r}", col)
+            if exp_text[:1] == "-":
+                exp = -exp
             if exp == 0:
                 raise WordSyntaxError(f"zero exponent in {tok!r}", col)
         else:

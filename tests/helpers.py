@@ -14,7 +14,9 @@ import math
 import random
 from typing import Iterable
 
-from freeprod import FactorPair, LabeledGraph, Letter, NormalWord, Word, inverse_word, normalize
+from freeprod import FactorPair
+from freeprod.lgraph import LabeledGraph
+from freeprod.words import Letter, NormalWord, Word, inverse_word, normalize
 
 Syllables = tuple[tuple[int, int], ...]
 
@@ -320,7 +322,7 @@ def is_group_generated_by(table, images) -> bool:
 def reference_components(g):
     """Monochromatic components as first written: tag every vertex with its
     colours in one pass, then walk each factor's components separately."""
-    from freeprod import MonoComponent
+    from freeprod.lgraph import MonoComponent
 
     colours = {v: {g.label(e).factor for e in g.half_edges(v)} for v in g.vertices()}
     comps = []
@@ -404,7 +406,8 @@ def reference_cover_defect(g, comp, pair):
 def reference_saturate(g, pair: FactorPair):
     """Saturation as first written: glue a Cayley copy onto every component
     that is not a cover, fold, and repeat until every component is one."""
-    from freeprod import InvariantError, component_is_cover, components
+    from freeprod import InvariantError, components
+    from freeprod.precover import component_is_cover
 
     h = g.copy()
     sweeps = 0
@@ -437,7 +440,10 @@ def reference_reidemeister_schreier(group, sub, factor: int = 1):
     """Reidemeister-Schreier rewriting as first written, for a group with
     relators: every relator letter is one ``out_edge`` walk step in the
     coset graph, and the symbol word is freely reduced afterwards."""
-    from freeprod import InvariantError, Presentation, coset_graph, free_reduce, inverse_word, spanning_tree
+    from freeprod import InvariantError
+    from freeprod.fingroup import Presentation, coset_graph
+    from freeprod.lgraph import spanning_tree
+    from freeprod.words import free_reduce, inverse_word
 
     sub = frozenset(sub)
     if sub == {group.identity}:

@@ -12,30 +12,28 @@ import pytest
 
 import freeprod
 from freeprod import (
-    LabeledGraph,
-    Letter,
-    cayley_graph,
     components,
     contains,
-    coset_graph,
     decompose,
-    fold_all,
-    free_basis,
-    is_precover,
-    is_reduced_precover,
     make_cyclic,
-    normal_to_word,
-    normalize,
     parse_word,
-    pointed_iso,
     presentation,
-    reidemeister_schreier,
-    schreier_stabilizer,
     subgroup_graph,
     verify,
 )
-from freeprod.fingroup import _group_word_to_letters, from_presentation, from_table
-from freeprod.words import NormalWord, inverse_word
+from freeprod.fingroup import (
+    _group_word_to_letters,
+    cayley_graph,
+    coset_graph,
+    from_presentation,
+    from_table,
+    reidemeister_schreier,
+    schreier_stabilizer,
+)
+from freeprod.kurosh import free_basis
+from freeprod.lgraph import LabeledGraph, fold_all, pointed_iso
+from freeprod.precover import is_precover, is_reduced_precover
+from freeprod.words import Letter, NormalWord, inverse_word, normal_to_word, normalize
 
 from helpers import (
     OracleOverflow,

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 import freeprod.cli
-from freeprod import Verdict
 from freeprod.cli import main
+from freeprod.precover import Verdict, is_precover
+from freeprod.words import Letter
 
 PSL2_FILE = """\
 [factor1]
@@ -253,6 +254,51 @@ def test_factor_integers_are_ascii_digits(tmp_path, capsys, old, new, where, mes
     assert err.startswith(f"error: {where}: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("b a b a b a", "b a b^\u0661", "line 10, column 33"),
+        ("a b a^-1 b^-1", "a b^1_0", "line 10, column 16"),
+        ("type = cyclic 3", "type = presentation\nrelators = b^\u0663", "line 7, column 12"),
+    ],
+    ids=["arabic-indic", "underscore", "relator"],
+)
+def test_exponents_are_ascii_digits(tmp_path, capsys, old, new, where):
+    # an exponent is an optional sign and ASCII digits, in subgroup words
+    # and relators alike; anything else is reported at its token
+    p = tmp_path / "psl2.fp"
+    p.write_text(PSL2_FILE.replace(old, new))
+    code, out, err = _run(capsys, "kurosh", p)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: malformed exponent in ")
+
+
+def test_member_word_exponent_is_ascii_digits(psl2_file, capsys):
+    code, out, err = _run(capsys, "member", psl2_file, "--word", "a^\u0663")
+    assert code == 2 and out == ""
+    assert err.startswith("error: in --word: malformed exponent in ")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("generators = a\n", "generators = a^2\n"),
+        ("generators = a\n", "generators = x y\n"),
+        ("type = cyclic 3\ngenerators = b", "type = presentation\ngenerators = b c, d"),
+    ],
+    ids=["power", "two-tokens", "presentation"],
+)
+def test_labels_no_word_can_name_are_refused(tmp_path, capsys, old, new):
+    # an unnameable label is an input error, also before a presentation's
+    # enumeration could run into the cap
+    p = tmp_path / "psl2.fp"
+    p.write_text(PSL2_FILE.split("[subgroup]")[0].replace(old, new))
+    for command in ("build", "present"):
+        code, out, err = _run(capsys, command, p)
+        assert code == 2 and out == ""
+        assert err.startswith("error: generator label ") and "is not a word token" in err
+
+
 def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
     monkeypatch.setattr(
         freeprod.cli, "verify", lambda d, sg: Verdict(False, "rebuilt graph differs")
@@ -300,8 +346,8 @@ def test_present_refuses_an_unreachable_cover(psl2_file, capsys, monkeypatch):
         g = sg.graph.copy()
         u, v, w = (g.add_vertex() for _ in range(3))
         for x, y in ((u, v), (v, w), (w, u)):
-            g.add_edge(x, y, freeprod.Letter(2, 0, 1))
-        verdict = freeprod.is_precover(g, pair)
+            g.add_edge(x, y, Letter(2, 0, 1))
+        verdict = is_precover(g, pair)
         return dataclasses.replace(sg, graph=g, precover_ok=verdict.ok, reason=verdict.reason)
 
     monkeypatch.setattr(freeprod.cli, "subgroup_graph", detached)

@@ -14,18 +14,14 @@ from freeprod import (
     CapExceededError,
     FiniteGroup,
     GroupValidationError,
-    Letter,
-    cayley_graph,
     components,
-    coset_graph,
     from_presentation,
     from_table,
     make_cyclic,
-    pointed_iso,
-    reidemeister_schreier,
-    schreier_stabilizer,
-    trace,
 )
+from freeprod.fingroup import cayley_graph, coset_graph, reidemeister_schreier, schreier_stabilizer
+from freeprod.lgraph import pointed_iso, trace
+from freeprod.words import Letter
 
 from helpers import (
     groups_isomorphic,
@@ -296,7 +292,7 @@ def test_schreier_stabilizer_examples():
 
 
 def test_schreier_stabilizer_requires_saturation():
-    from freeprod import LabeledGraph
+    from freeprod.lgraph import LabeledGraph
 
     z6 = make_cyclic(6, "y")
     g = LabeledGraph()
@@ -523,6 +519,24 @@ def test_group_rejects_bad_relator_letters_and_generator_images(generators, rela
     # image that int() would have rounded or parsed
     with pytest.raises(GroupValidationError, match=message):
         FiniteGroup(_Z4, generators, relators=relators)
+
+
+@pytest.mark.parametrize("label", ["a^2", "a^1", "x y", "", " a", "a^x", "^a", "a^\u0661"])
+def test_labels_no_word_can_name_are_refused(label):
+    # a label must read back through the word tokenizer as itself with
+    # exponent 1, or no word could refer to its generator
+    with pytest.raises(GroupValidationError, match="is not a word token"):
+        make_cyclic(3, label)
+    with pytest.raises(GroupValidationError, match="is not a word token"):
+        from_table(_Z4, [("b", 1), (label, 2)])
+    # checked before enumeration: this presentation is infinite
+    with pytest.raises(GroupValidationError, match="is not a word token"):
+        from_presentation((label, "d"), ["d^2"], cap=16)
+
+
+def test_word_token_labels_are_accepted():
+    for label in ("a", "x1", "g_2", "A'", "-"):
+        assert make_cyclic(2, label).labels() == (label,)
 
 
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0, None])

@@ -7,33 +7,37 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freeprod
 from freeprod import (
+    FactorPair,
     InvariantError,
-    LabeledGraph,
-    Letter,
-    SubgroupGraph,
-    basic_step,
-    bouquet,
-    cayley_graph,
     components,
     contains,
     decompose,
-    fold_all,
-    free_basis,
-    mcc,
-    normalize,
+    from_presentation,
+    make_cyclic,
     parse_word,
-    pointed_iso,
     presentation,
     subgroup_graph,
-    trace,
     verify,
 )
+from freeprod.fingroup import cayley_graph
+from freeprod.kurosh import _emitted_words, basic_step, free_basis, mcc
+from freeprod.lgraph import LabeledGraph, bouquet, fold_all, pointed_iso, spanning_tree, trace
+from freeprod.precover import SubgroupGraph
+from freeprod.words import Letter, normalize
 
-from freeprod.kurosh import _emitted_words
-from helpers import equal_in_G, random_subgroups, subgraph, syllable_length
+from helpers import (
+    equal_in_G,
+    random_subgroups,
+    reference_components,
+    reference_cover_defect,
+    subgraph,
+    syllable_length,
+)
 
 
 def test_mcc_trivial(z2z3):
@@ -41,14 +45,20 @@ def test_mcc_trivial(z2z3):
     assert mcc(sg.graph, z2z3) == []
 
 
-def test_mcc_psl2_order(z2z3, psl2_sg):
-    order = mcc(psl2_sg.graph, z2z3)
-    assert len(order) == 5
-    bp = psl2_sg.graph.basepoint
-    assert bp in order[0].vertices
-    # consecutive components share a vertex whenever one is available
-    for prev, cur in zip(order, order[1:]):
-        assert any(cur.vertices & earlier.vertices for earlier in order[: order.index(cur)])
+def test_mcc_is_the_cover_filter(z2z3, z4z6):
+    # folded bouquets hold covers and non-covers side by side; mcc keeps
+    # exactly the covers, in components() order, by independent checks
+    rng = random.Random(71)
+    kept = dropped = 0
+    for pair in (z2z3, z4z6):
+        for gens in random_subgroups(rng, pair, 30, max_len=8):
+            g = fold_all(bouquet(gens, pair))
+            comps = reference_components(g)
+            want = [c for c in comps if reference_cover_defect(g, c, pair) is None]
+            assert mcc(g, pair) == want, gens
+            kept += len(want)
+            dropped += len(comps) - len(want)
+    assert kept and dropped
 
 
 def test_mcc_ignores_trees(z2z3, psl2_sg):
@@ -241,7 +251,7 @@ def test_basis_words_are_normal_loops(z2z3, z4z6):
 def test_factor_count_equals_mcc_minus_trivial_markers(z2z3, z4z6):
     # independent marker count: a cover component contributes no factor
     # exactly when its loop subgroup is trivial, a basepoint-free property
-    from freeprod import schreier_stabilizer
+    from freeprod.fingroup import schreier_stabilizer
 
     rng = random.Random(61)
     for pair in (z2z3, z4z6):
@@ -258,6 +268,52 @@ def test_factor_count_equals_mcc_minus_trivial_markers(z2z3, z4z6):
                 trivial += stab == frozenset({group.identity})
             assert len(d.factors) == len(order) - trivial
             assert (len(d.factors) == len(order)) == (trivial == 0)
+
+
+_ORDER_PAIRS = (
+    FactorPair(make_cyclic(2, "a"), make_cyclic(3, "b")),
+    FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y")),
+    FactorPair(from_presentation(("s", "t"), ["s^2", "t^3", "s t s t"]), make_cyclic(4, "r")),
+)
+
+
+@st.composite
+def _subgroups(draw):
+    pair = draw(st.sampled_from(_ORDER_PAIRS))
+    word = st.lists(st.sampled_from(pair.all_letters()), max_size=10).map(tuple)
+    return pair, draw(st.lists(word, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subgroups())
+def test_factors_are_listed_in_bfs_order(case):
+    # basepoint ranks in the BFS order of the tree from the basepoint
+    # never decrease down the list, factor 1 comes first at a shared
+    # basepoint, and so conjugator lengths never decrease
+    pair, gens = case
+    sg = subgroup_graph(gens, pair)
+    d = decompose(sg)
+    tree = spanning_tree(sg.graph, sg.graph.basepoint)
+    rank = {v: i for i, v in enumerate(tree.order)}
+    keys = [(rank[f.basepoint], f.factor) for f in d.factors]
+    assert keys == sorted(set(keys))
+    lengths = [len(f.conjugator) for f in d.factors]
+    assert lengths == sorted(lengths)
+
+
+def test_factor_at_the_basepoint_is_listed_first(z2z3):
+    # two conjugate copies of Z3: the unconjugated one sits at the
+    # basepoint and comes first, although its cover's smallest vertex
+    # is not the basepoint's
+    gens = [parse_word(t, z2z3) for t in ("b", "a b^-1 a^-1 b^2 b^-1 a^2")]
+    sg = subgroup_graph(gens, z2z3)
+    d = decompose(sg)
+    assert [(f.factor, f.order, f.conjugator) for f in d.factors] == [
+        (2, 3, ()),
+        (2, 3, parse_word("a", z2z3)),
+    ]
+    assert d.free_rank == 0
+    assert verify(d, sg).ok
 
 
 def _distances(g, source):
@@ -338,7 +394,10 @@ def test_decompose_rejects_a_non_cover(z4z6):
 
 
 _X_TRIANGLE_UNDER_O = """
-from freeprod import *
+from freeprod import FactorPair, InvariantError, decompose, make_cyclic
+from freeprod.lgraph import LabeledGraph
+from freeprod.precover import SubgroupGraph
+from freeprod.words import Letter
 pair = FactorPair(make_cyclic(4, "x"), make_cyclic(6, "y"))
 g = LabeledGraph()
 vs = [g.add_vertex() for _ in range(3)]

@@ -9,27 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeprod
-from freeprod import (
-    FactorPair,
+from freeprod import FactorPair, components, decompose, make_cyclic, parse_word, subgroup_graph
+from freeprod.fingroup import cayley_graph
+from freeprod.lgraph import (
     LabeledGraph,
-    Letter,
     bouquet,
-    cayley_graph,
-    components,
     cut_hairs,
-    decompose,
     dump,
     fold_all,
-    make_cyclic,
-    parse_word,
     pointed_iso,
-    prune_redundant,
-    saturate,
     spanning_tree,
-    subgroup_graph,
     to_dot,
     trace,
 )
+from freeprod.precover import prune_redundant, saturate
+from freeprod.words import Letter
 
 from helpers import classify_vertices
 
@@ -365,7 +359,7 @@ def test_pointed_iso_is_equivalence():
 
 def test_fold_then_pipeline_matches_pipeline(z2z3):
     # membership through the pipeline is unchanged by pre-folding the bouquet
-    from freeprod import prune_redundant, saturate
+    from freeprod.precover import prune_redundant, saturate
 
     rng = random.Random(11)
     letters = z2z3.all_letters()
@@ -389,7 +383,9 @@ def test_dump_golden_cayley_z3(z2z3):
 
 _INVARIANTS_UNDER_O = """
 import freeprod
-from freeprod import InvariantError, LabeledGraph, Letter
+from freeprod import InvariantError
+from freeprod.lgraph import LabeledGraph
+from freeprod.words import Letter
 
 def attempt(f):
     try:

@@ -6,32 +6,27 @@ from hypothesis import strategies as st
 
 from freeprod import (
     FactorPair,
-    LabeledGraph,
-    Letter,
-    basic_step,
-    bouquet,
-    cayley_graph,
-    component_is_cover,
     components,
     contains,
-    coset_graph,
-    cut_hairs,
-    dump,
-    fold_all,
     from_presentation,
     index_if_finite,
-    is_precover,
-    is_reduced_precover,
     make_cyclic,
     parse_word,
-    pointed_iso,
-    prune_redundant,
-    saturate,
-    schreier_stabilizer,
     subgroup_graph,
 )
+from freeprod.fingroup import cayley_graph, coset_graph, schreier_stabilizer
+from freeprod.kurosh import basic_step
+from freeprod.lgraph import LabeledGraph, bouquet, cut_hairs, dump, fold_all, pointed_iso
+from freeprod.precover import (
+    _cover_defect,
+    component_is_cover,
+    is_precover,
+    is_reduced_precover,
+    prune_redundant,
+    saturate,
+)
+from freeprod.words import Letter
 
-from freeprod.precover import _cover_defect
 from helpers import (
     all_normal_forms,
     oracle_membership,
@@ -213,8 +208,7 @@ def test_contains_psl2_examples(z2z3, psl2_sg):
 
 def test_contains_vs_oracle_small(z2z3, psl2_sg, psl2_words):
     member = oracle_membership(psl2_words, z2z3, query_len=6, work_len=16)
-    from freeprod import normal_to_word
-    from freeprod.words import NormalWord
+    from freeprod.words import NormalWord, normal_to_word
 
     for nf in all_normal_forms(z2z3, 6):
         w = normal_to_word(NormalWord(nf), z2z3)
@@ -279,8 +273,7 @@ def test_multigenerator_factors_membership(klein_s3):
         sg = subgroup_graph(gens, klein_s3)
         assert sg.precover_ok and sg.reduced_ok
         member = oracle_membership(gens, klein_s3, query_len=4, work_len=7)
-        from freeprod import normal_to_word
-        from freeprod.words import NormalWord
+        from freeprod.words import NormalWord, normal_to_word
 
         for nf in all_normal_forms(klein_s3, 4):
             got = contains(sg, normal_to_word(NormalWord(nf), klein_s3))

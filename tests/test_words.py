@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeprod import (
+from freeprod import WordSyntaxError, parse_word
+from freeprod.fingroup import parse_group_word
+from freeprod.words import (
+    MAX_WORD_LETTERS,
     Letter,
-    WordSyntaxError,
+    ascii_int,
     free_reduce,
     inverse_word,
     normal_to_word,
     normalize,
-    parse_word,
     render_word,
 )
-
-from freeprod.fingroup import parse_group_word
-from freeprod.words import MAX_WORD_LETTERS
 
 from helpers import equal_in_G, nf_mult, nf_of_word, random_word, reference_free_reduce, syllable_length
 
@@ -68,6 +67,45 @@ def test_parse_errors(z2z3):
     except WordSyntaxError as exc:
         err = exc
     assert err is not None and err.column == 5
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("b^\u0661", 1),         # an Arabic-Indic digit, which ``int`` reads
+        ("a b^1_0", 3),          # an underscore, which ``int`` reads
+        ("a^\u0663 b", 1),
+        ("a b^\u00b2", 3),       # a superscript, which ``str.isdigit`` admits
+        ("a^ b", 1),
+        ("a b^+", 3),
+        ("b^--1", 1),
+        ("b^+-1", 1),
+        ("b^2^2", 1),
+        ("a^9" + "9" * 5000, 1),  # more digits than ``int`` converts
+    ],
+)
+def test_exponents_are_ascii_digits(z2z3, text, column):
+    with pytest.raises(WordSyntaxError, match="malformed exponent") as info:
+        parse_word(text, z2z3)
+    assert info.value.column == column
+    # relators follow the same rule
+    group_text = text.replace("a", "x").replace("b", "x")
+    with pytest.raises(WordSyntaxError, match="malformed exponent") as info:
+        parse_group_word(group_text, ("x",))
+    assert info.value.column == column
+
+
+def test_exponents_may_carry_a_sign(z2z3):
+    assert parse_word("b^+2 a^-1", z2z3) == parse_word("b b a^-1", z2z3)
+    assert parse_group_word("x^+3 x^-1", ("x",)) == ((0, 1),) * 3 + ((0, -1),)
+    with pytest.raises(WordSyntaxError, match="zero exponent"):
+        parse_word("b^-0", z2z3)
+
+
+def test_ascii_int():
+    assert ascii_int("0") == 0 and ascii_int("0042") == 42
+    for text in ("", "+1", "-1", " 1", "1 ", "1_0", "\u0661", "\u00b2", "1.0", "9" * 5000):
+        assert ascii_int(text) is None, text
 
 
 def test_render_roundtrip(z2z3):
