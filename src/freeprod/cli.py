@@ -32,8 +32,10 @@ from .fingroup import (
     DEFAULT_CAP,
     FactorPair,
     FiniteGroup,
+    GeneratorError,
     GroupValidationError,
     GroupWord,
+    RelatorError,
     from_presentation,
     make_cyclic,
     parse_group_word,
@@ -152,22 +154,28 @@ def _relators(sec: _Section, labels: tuple[str, ...]) -> list[GroupWord] | None:
 
 def _read_table_file(path: Path, line: int, col: int, cap: int) -> list[list[int]]:
     """Read a table file.  The order line is held against ``cap`` before
-    the table block is read."""
+    the table block is read.  Numbers are ASCII digits (``int`` alone also
+    reads other scripts' digits and underscores)."""
+    non_integer = ProblemFileError(f"table file {path} has non-integer entries", line)
     try:
         with path.open() as fh:
-            rows = (r.split() for r in fh if r.strip())
+            rows = (r for r in fh if r.strip())
             head = next(rows, None)
             if head is None:
                 raise ProblemFileError(f"table file {path} is empty", line)
-            try:
-                order = int(head[0])
-                if order > cap:
-                    raise CapExceededError(
-                        f"line {line}, column {col}: table group order {order} exceeds cap {cap}"
-                    )
-                table = [[int(x) for x in row] for row in islice(rows, max(order, 0))]
-            except ValueError:
-                raise ProblemFileError(f"table file {path} has non-integer entries", line) from None
+            order = ascii_int(head.split()[0])
+            if order is None:
+                raise non_integer
+            if order > cap:
+                raise CapExceededError(
+                    f"line {line}, column {col}: table group order {order} exceeds cap {cap}"
+                )
+            table = []
+            for r in islice(rows, order):
+                row = r.split()
+                if not (r.isascii() and all(map(str.isdigit, row))):
+                    raise non_integer
+                table.append(list(map(int, row)))
     except OSError as exc:
         raise ProblemFileError(f"cannot read table file {path}: {exc}", line) from None
     if len(table) != order or any(len(r) != order for r in table):
@@ -260,9 +268,17 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
         own = None if opt is None else opt.get("cap")
         cap = DEFAULT_CAP if own is None else _cap_value(own)
 
-    g1 = _build_factor(sections["factor1"], path.parent, cap)
-    g2 = _build_factor(sections["factor2"], path.parent, cap)
-    pair = FactorPair(g1, g2)
+    # a factor that fails validation is reported at the entry at fault;
+    # a label clash between the factors is blamed on the second one
+    sec = sections["factor1"]
+    try:
+        g1 = _build_factor(sec, path.parent, cap)
+        sec = sections["factor2"]
+        pair = FactorPair(g1, _build_factor(sec, path.parent, cap))
+    except GroupValidationError as exc:
+        key = {RelatorError: "relators", GeneratorError: "generators"}.get(type(exc), "type")
+        _, line, col = sec.require(key)
+        raise ProblemFileError(str(exc), line, col) from None
 
     words: list[Word] = []
     sub = sections.get("subgroup")

@@ -1,4 +1,4 @@
-"""Finite factor groups, their (coset) Cayley graphs and subgroup machinery.
+"""Finite factor groups, Cayley copies, Schreier walks and presentations.
 
 Groups are multiplication tables over element ids 0..order-1 with a labelled
 generating set.  Every table is validated at construction, in time quadratic
@@ -26,6 +26,14 @@ class GroupValidationError(ValueError):
     pass
 
 
+class GeneratorError(GroupValidationError):
+    """A generator label or generator image is invalid."""
+
+
+class RelatorError(GroupValidationError):
+    """A relator names no generator or does not hold."""
+
+
 class CapExceededError(RuntimeError):
     pass
 
@@ -43,15 +51,19 @@ def parse_group_word(text: str, labels: tuple[str, ...]) -> GroupWord:
     return tuple(out)
 
 
-def _check_label(label: str) -> None:
-    """Refuse a generator label that no word can name: one that the word
-    tokenizer does not read back as itself with exponent 1."""
-    try:
-        named = [(name, exp) for name, exp, _ in _tokens(label)] == [(label, 1)]
-    except WordSyntaxError:
-        named = False
-    if not named:
-        raise GroupValidationError(f"generator label {label!r} is not a word token")
+def _check_labels(labels) -> None:
+    """Refuse generator labels that no word can name, each one that the word
+    tokenizer does not read back as itself with exponent 1, and labels
+    that are not pairwise distinct."""
+    for label in labels:
+        try:
+            named = [(name, exp) for name, exp, _ in _tokens(label)] == [(label, 1)]
+        except WordSyntaxError:
+            named = False
+        if not named:
+            raise GeneratorError(f"generator label {label!r} is not a word token")
+    if len(set(labels)) != len(labels):
+        raise GeneratorError("generator labels are not pairwise distinct")
 
 
 class FiniteGroup:
@@ -116,21 +128,18 @@ class FiniteGroup:
             inv.append(b)
         self._inv = tuple(inv)
 
-        labels = [label for label, _ in self.generators]
-        for label in labels:
-            _check_label(label)
-        if len(set(labels)) != len(labels):
-            raise GroupValidationError("generator labels are not pairwise distinct")
+        labels = self.labels()
+        _check_labels(labels)
         for label, img in self.generators:
             if type(img) is not int or not 0 <= img < n:
-                raise GroupValidationError(
+                raise GeneratorError(
                     f"generator {label!r} image {img!r} is not an int in range"
                 )
             if img == identity:
-                raise GroupValidationError(f"generator {label!r} maps to the identity")
+                raise GeneratorError(f"generator {label!r} maps to the identity")
         gen_images = [img for _, img in self.generators]
         if len(self.closure(gen_images)) != n:
-            raise GroupValidationError("generators do not generate the group")
+            raise GeneratorError("generators do not generate the group")
 
         for g in dict.fromkeys(gen_images):
             col = tuple(row[g] for row in t)  # col[x] = x*g
@@ -146,11 +155,11 @@ class FiniteGroup:
         for r in self.relators or ():
             for gi, sign in r:
                 if type(gi) is not int or not 0 <= gi < len(labels):
-                    raise GroupValidationError(f"relator {r} names no generator {gi!r}")
+                    raise RelatorError(f"relator {r} names no generator {gi!r}")
                 if type(sign) is not int or sign not in (1, -1):
-                    raise GroupValidationError(f"relator {r} has sign {sign!r}, not 1 or -1")
+                    raise RelatorError(f"relator {r} has sign {sign!r}, not 1 or -1")
             if self.evaluate(r) != identity:
-                raise GroupValidationError(f"relator {r} does not hold in the group")
+                raise RelatorError(f"relator {r} does not hold in the group")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -244,8 +253,7 @@ def from_presentation(labels, relators, cap: int = DEFAULT_CAP) -> FiniteGroup:
     identity in label order, so the numbering is reproducible.
     """
     labels = tuple(str(l) for l in labels)
-    for label in labels:
-        _check_label(label)
+    _check_labels(labels)
     parsed: list[GroupWord] = []
     for r in relators:
         parsed.append(parse_group_word(r, labels) if isinstance(r, str) else tuple(r))
@@ -396,7 +404,7 @@ def _enumerate_presentation(
                 tree.append((number[c], gi))
                 bfs.append(t)
     if len(number) != len(live):
-        raise GroupValidationError("generators do not reach every element")
+        raise GeneratorError("generators do not reach every element")
 
     # the table column by column along the BFS tree: a*(b*g) = (a*b)*g,
     # where x*g is one step of the complete coset table
@@ -407,18 +415,6 @@ def _enumerate_presentation(
     mult = [list(row) for row in zip(*cols)]
     images = [right[gi][0] for gi in range(nl)]
     return mult, images
-
-
-def cayley_graph(group: FiniteGroup, factor: int = 1) -> LabeledGraph:
-    """Cayley graph on element ids, basepoint at the identity.
-
-    ``factor`` tags the edge letters so the graph can be glued into a
-    two-colored graph over a FactorPair alphabet.
-    """
-    g = LabeledGraph()
-    _append_cayley(g, group, factor)
-    g.set_basepoint(group.identity)
-    return g
 
 
 def _append_cayley(g: LabeledGraph, group: FiniteGroup, factor: int) -> int:
@@ -443,22 +439,6 @@ def _right_cosets(group: FiniteGroup, sub: frozenset[int]) -> tuple[list[int], l
                 coset_of[group.mult(s, e)] = len(reps)
             reps.append(e)
     return coset_of, reps
-
-
-def coset_graph(group: FiniteGroup, sub, factor: int = 1) -> LabeledGraph:
-    """Relative Cayley graph on the right cosets of ``sub``."""
-    sub = frozenset(sub)
-    if not group.is_subgroup(sub):
-        raise GroupValidationError("subgroup set is not closed under the group operations")
-    coset_of, reps = _right_cosets(group, sub)
-    g = LabeledGraph()
-    for _ in reps:
-        g.add_vertex()
-    g.set_basepoint(coset_of[group.identity])
-    for c, r in enumerate(reps):
-        for gi, (_, img) in enumerate(group.generators):
-            g.add_edge(c, coset_of[group.mult(r, img)], Letter(factor, gi, 1))
-    return g
 
 
 def _letters_at(g: LabeledGraph, u: int, factor: int, nletters: int) -> list[int]:
@@ -490,7 +470,7 @@ def _schreier_walk(
     edges in letter order and evaluates the tree elements t_u.  The
     Schreier rule then closes t_u * x * t_w^-1 over the non-tree edges
     u -x-> w.  A component is connected, so the pass reaches all of it;
-    it must be saturated.
+    it must be saturated.  ``kurosh.basic_step`` keeps the tree.
     """
     v = c.find(v)
     if v not in within.vertices:
@@ -514,19 +494,6 @@ def _schreier_walk(
                 gens.add(mult(mult(elem[u], x), group.inv(elem[w])))
     gens.discard(group.identity)
     return group.closure(gens), {e & ~1 for e in via.values()}
-
-
-def schreier_stabilizer(
-    c: LabeledGraph, v: int, group: FiniteGroup, within: MonoComponent
-) -> frozenset[int]:
-    """The subgroup of ``group`` read along loops at ``v`` in the cover
-    component ``within`` of ``c``.
-
-    The component must be saturated; the one breadth-first pass is
-    ``_schreier_walk``, whose spanning tree ``kurosh.basic_step`` keeps.
-    The loop subgroup does not depend on the tree.
-    """
-    return _schreier_walk(c, v, group, within)[0]
 
 
 @dataclass(frozen=True)
@@ -555,8 +522,8 @@ def _group_word_to_letters(w: GroupWord, factor: int) -> Word:
 def reidemeister_schreier(group: FiniteGroup, sub, factor: int = 1) -> Presentation:
     """Presentation of a subgroup of a finite group on Schreier generators.
 
-    The right cosets S*e, numbered by their smallest element as in
-    ``coset_graph``, form a table, not a graph: row c, column
+    The right cosets S*e, numbered by their smallest element
+    (``_right_cosets``), form a table, not a graph: row c, column
     2*gi + (sign < 0) holds the coset that letter leads to from c and the
     symbol it crosses, (name, +-1), or None on a tree edge.  Right
     multiplication permutes the cosets, so every row is full by
@@ -652,7 +619,7 @@ class FactorPair:
     def __init__(self, factor1: FiniteGroup, factor2: FiniteGroup):
         clash = set(factor1.labels()) & set(factor2.labels())
         if clash:
-            raise GroupValidationError(
+            raise GeneratorError(
                 f"factor generator labels are not disjoint: {sorted(clash)}"
             )
         self._factors = (factor1, factor2)

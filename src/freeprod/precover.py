@@ -3,16 +3,18 @@
 The pipeline turns a generating set into the unique reduced precover
 determining the subgroup: wedge the generators into a bouquet, fold and cut
 hairs, complete every monochromatic component to a cover of its factor by
-gluing factor Cayley graphs, then discard redundant components.  Membership
+gluing factor Cayley graphs, then discard redundant components.  One scan
+of the saturated graph feeds both pruning and certification.  Membership
 of a word then reduces to tracing its normal form as a loop at the basepoint.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
-from .fingroup import FactorPair, _append_cayley, schreier_stabilizer
+from .fingroup import FactorPair, _append_cayley, _schreier_walk
 from .lgraph import (
     InvariantError,  # re-exported: the one class every layer raises
     LabeledGraph,
@@ -26,6 +28,9 @@ from .lgraph import (
 from .words import Word, normal_to_word, normalize
 
 
+Record = tuple[MonoComponent, str | None]   # a component and why it is no cover, or None
+
+
 class Verdict(NamedTuple):
     ok: bool
     reason: str | None = None
@@ -36,10 +41,10 @@ class Verdict(NamedTuple):
 
 def _covers(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
     """The counting test for a saturated monochromatic component; raises
-    ValueError from ``schreier_stabilizer`` when it is not saturated.
+    ValueError from ``_schreier_walk`` when it is not saturated.
 
-    One pass of ``schreier_stabilizer`` checks saturation and reads the
-    loop subgroup.  Saturation alone is not enough: a component can be
+    One pass of ``_schreier_walk`` checks saturation and reads the loop
+    subgroup.  Saturation alone is not enough: a component can be
     saturated yet fail to be based on the factor (a cycle of the wrong
     length, say).  Let S be the loop subgroup at a vertex v and t_u the
     element read along the spanning tree path from v to u.  Every edge
@@ -50,13 +55,14 @@ def _covers(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
     |V| * |S| = |G|.
     """
     group = pair.factor(comp.factor)
-    stab = schreier_stabilizer(g, comp.min_vertex, group, within=comp)
+    stab = _schreier_walk(g, comp.min_vertex, group, comp)[0]
     return len(comp.vertices) * len(stab) == group.order
 
 
 def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str | None:
     """Why a monochromatic component is not a cover of its factor, or None
-    (the test is ``_covers``; a sorted scan names a missing letter)."""
+    (the test is ``_covers``; a sorted scan names a missing letter, else
+    one is doubled)."""
     try:
         if _covers(g, comp, pair):
             return None
@@ -68,7 +74,7 @@ def _cover_defect(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> str
                         f"is not saturated: vertex {v} has no edge labelled "
                         f"{pair.letter_name(letter)}"
                     )
-        raise
+        return "is not well-labelled"
     return "is saturated but is not a cover"
 
 
@@ -111,30 +117,30 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
     return h
 
 
-def _redundant(comp: MonoComponent, v0: int, pair: FactorPair) -> bool:
-    """The redundancy rule, for a component known to be a cover: a full
-    factor Cayley graph (a cover with |G| vertices) that touches the rest
-    of the graph in at most one vertex, without the basepoint among its
+def _redundant(comp: MonoComponent, vb: Collection[int], v0: int, pair: FactorPair) -> bool:
+    """The redundancy rule, for a cover with bichromatic vertices ``vb``: a
+    full factor Cayley graph (|G| vertices) that touches the rest of the
+    graph in at most one vertex, without the basepoint among its
     monochromatic vertices."""
     return (
         len(comp.vertices) == pair.factor(comp.factor).order
-        and len(comp.vb) <= 1
-        and (v0 not in comp.vertices or v0 in comp.vb)
+        and len(vb) <= 1
+        and (v0 not in comp.vertices or v0 in vb)
     )
 
 
-def _collapses(g: LabeledGraph, comps: list[MonoComponent], pair: FactorPair) -> bool:
-    """Whether the whole graph is one full factor Cayley graph, which
-    collapses to the basepoint; for a component known to be a cover.  A
-    lone component has no bichromatic vertices."""
+def _collapses(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
+    """Whether a lone component, known to be a cover, is the whole graph
+    and a full factor Cayley graph, which collapses to the basepoint."""
     return (
-        len(comps) == 1
-        and comps[0].vertices == frozenset(g.vertices())
-        and len(comps[0].vertices) == pair.factor(comps[0].factor).order
+        comp.vertices == frozenset(g.vertices())
+        and len(comp.vertices) == pair.factor(comp.factor).order
     )
 
 
-def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
+def prune_redundant(
+    g: LabeledGraph, v0: int, pair: FactorPair, records: list[Record]
+) -> LabeledGraph:
     """Drop redundant components of a precover, keeping attaching vertices.
 
     A component is redundant when it is a full factor Cayley graph (trivial
@@ -143,29 +149,44 @@ def prune_redundant(g: LabeledGraph, v0: int, pair: FactorPair) -> LabeledGraph:
     remains is a lone factor Cayley graph with no bichromatic vertices, the
     whole graph collapses to the basepoint: it determines the trivial
     subgroup.
+
+    ``records`` is the scan of ``g`` with each cover defect.  Removing a
+    victim attached at w only stops w from being bichromatic in the one
+    component of the other colour at w, so a heap of record indices takes
+    the victims in ``components()`` order with no other scan; the rule is
+    tested again at each pop, since the basepoint can leave a vb.
     """
     h = g.copy()
     v0 = h.find(v0)
-    while True:
-        comps = components(h)
-        victim = next(
-            (c for c in comps if _redundant(c, v0, pair) and component_is_cover(h, c, pair)),
-            None,
-        )
-        if victim is None:
-            break
-        keep = set(victim.vb)
+    vb = [set(comp.vb) for comp, _ in records]
+    at = {(v, comp.factor): k for k, (comp, _) in enumerate(records) for v in comp.vb}
+
+    def redundant(k: int) -> bool:
+        return records[k][1] is None and _redundant(records[k][0], vb[k], v0, pair)
+
+    heap = [k for k in range(len(records)) if redundant(k)]   # sorted, so a heap
+    gone: set[int] = set()
+    while heap:
+        k = heapq.heappop(heap)
+        if k in gone or not redundant(k):
+            continue
+        gone.add(k)
+        victim = records[k][0]
         for e in victim.edges:
             h.remove_edge(e)
-        for v in sorted(victim.vertices):
-            if v not in keep:
-                h.remove_vertex(v)
-    if _collapses(h, comps, pair) and component_is_cover(h, comps[0], pair):
-        for e in comps[0].edges:
+        for v in victim.vertices - vb[k]:
+            h.remove_vertex(v)
+        for w in vb[k]:
+            other = at[(w, 3 - victim.factor)]
+            vb[other].discard(w)
+            if redundant(other):
+                heapq.heappush(heap, other)
+    rest = [rec for k, rec in enumerate(records) if k not in gone]
+    if len(rest) == 1 and rest[0][1] is None and _collapses(h, rest[0][0], pair):
+        for e in rest[0][0].edges:
             h.remove_edge(e)
-        for v in sorted(comps[0].vertices):
-            if v != v0:
-                h.remove_vertex(v)
+        for v in rest[0][0].vertices - {v0}:
+            h.remove_vertex(v)
     return h
 
 
@@ -196,56 +217,51 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     g = bouquet(gens, pair)
     g = cut_hairs(fold_all(g))
     g = saturate(g, pair)
-    g = prune_redundant(g, g.basepoint, pair)
-    comps = components(g)
-    pre = _precover(g, comps, pair)
-    red = _reduced(g, comps, g.basepoint, pair) if pre.ok else pre
+    records = [(comp, _cover_defect(g, comp, pair)) for comp in components(g)]
+    g = prune_redundant(g, g.basepoint, pair, records)
+    precover_ok, verdict = _certify(g, records, g.basepoint, pair)
     return SubgroupGraph(
         graph=g,
         pair=pair,
         generators=gens,
         total_length=sum(len(w) for w in gens),
-        precover_ok=pre.ok,
-        reduced_ok=red.ok,
-        reason=red.reason,
+        precover_ok=precover_ok,
+        reduced_ok=verdict.ok,
+        reason=verdict.reason,
     )
 
 
-def is_precover(g: LabeledGraph, pair: FactorPair) -> Verdict:
-    """Check that every monochromatic component is a cover of its factor."""
-    return _precover(g, components(g), pair)
-
-
-def _precover(g: LabeledGraph, comps: list[MonoComponent], pair: FactorPair) -> Verdict:
+def _certify(
+    g: LabeledGraph, records: list[Record], v0: int, pair: FactorPair
+) -> tuple[bool, Verdict]:
+    """Whether a pruned graph is a precover, and the verdict on it as a
+    reduced one, from the records pruning read.  A record with no live edge
+    was pruned; one with all of them survives, in ``components()`` order,
+    and only its bichromatic vertices are read again; one that lost only
+    some of them fails."""
     if not g.is_well_labelled():
-        return Verdict(False, "graph is not well-labelled")
+        return False, Verdict(False, "graph is not well-labelled")
     if g.vertices() and not g.is_connected():
-        return Verdict(False, "graph is not connected")
-    for k, comp in enumerate(comps):
-        why = _cover_defect(g, comp, pair)
+        return False, Verdict(False, "graph is not connected")
+    einit, out, label = g._einit, g._out, g._elabel
+    kept: list[tuple[MonoComponent, list[int]]] = []   # survivors and their vb
+    for comp, why in records:
+        live = sum(einit[e] >= 0 for e in comp.edges)
+        if not live:
+            continue
+        if live < len(comp.edges):
+            why = "lost some of its edges after the scan"
         if why is not None:
-            return Verdict(False, f"component {k} (factor {comp.factor}) {why}")
-    return Verdict(True)
-
-
-def is_reduced_precover(g: LabeledGraph, v0: int, pair: FactorPair) -> Verdict:
-    """Check the no-redundant-components condition on a precover."""
-    comps = components(g)
-    pre = _precover(g, comps, pair)
-    if not pre.ok:
-        return Verdict(False, f"not a precover: {pre.reason}")
-    return _reduced(g, comps, v0, pair)
-
-
-def _reduced(g: LabeledGraph, comps: list[MonoComponent], v0: int, pair: FactorPair) -> Verdict:
-    """The no-redundant-components condition on a certified precover."""
+            return False, Verdict(False, f"component {len(kept)} (factor {comp.factor}) {why}")
+        f = comp.factor
+        kept.append((comp, [v for v in comp.vb if any(label[e].factor != f for e in out[v])]))
     v0 = g.find(v0)
-    for k, comp in enumerate(comps):
-        if _redundant(comp, v0, pair):
-            return Verdict(False, f"component {k} (factor {comp.factor}) is redundant")
-    if _collapses(g, comps, pair):
-        return Verdict(False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint")
-    return Verdict(True)
+    for k, (comp, vb) in enumerate(kept):
+        if _redundant(comp, vb, v0, pair):
+            return True, Verdict(False, f"component {k} (factor {comp.factor}) is redundant")
+    if len(kept) == 1 and _collapses(g, kept[0][0], pair):
+        return True, Verdict(False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint")
+    return True, Verdict(True)
 
 
 def contains(sg: SubgroupGraph, w: Word) -> bool:

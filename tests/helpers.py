@@ -436,12 +436,142 @@ def reference_saturate(g, pair: FactorPair):
         comps = components(h)
 
 
+def cayley_graph(group, factor: int = 1) -> LabeledGraph:
+    """The factor's Cayley graph on element ids, basepoint at the identity:
+    the copy ``saturate`` glues, standing alone.  ``factor`` tags the edge
+    letters so the graph can sit in a two-coloured graph."""
+    from freeprod.fingroup import _append_cayley
+
+    g = LabeledGraph()
+    _append_cayley(g, group, factor)
+    g.set_basepoint(group.identity)
+    return g
+
+
+def coset_graph(group, sub, factor: int = 1) -> LabeledGraph:
+    """Relative Cayley graph on the right cosets S*e of a subgroup, numbered
+    by their smallest element, basepoint at the subgroup itself."""
+    from freeprod.fingroup import _right_cosets
+
+    sub = frozenset(sub)
+    assert group.is_subgroup(sub), "not a subgroup"
+    coset_of, reps = _right_cosets(group, sub)
+    g = LabeledGraph()
+    for _ in reps:
+        g.add_vertex()
+    g.set_basepoint(coset_of[group.identity])
+    for c, r in enumerate(reps):
+        for gi, (_, img) in enumerate(group.generators):
+            g.add_edge(c, coset_of[group.mult(r, img)], Letter(factor, gi, 1))
+    return g
+
+
+def scan(g, pair: FactorPair):
+    """The records ``subgroup_graph`` reads after saturation: every
+    monochromatic component with its cover defect, in ``components()``
+    order."""
+    from freeprod import components
+    from freeprod.precover import _cover_defect
+
+    return [(comp, _cover_defect(g, comp, pair)) for comp in components(g)]
+
+
+def certify(g, v0, pair: FactorPair):
+    """The library's certification of a graph from a fresh ``scan``:
+    whether it is a precover, and the verdict on it as a reduced one."""
+    from freeprod.precover import _certify
+
+    return _certify(g, scan(g, pair), v0, pair)
+
+
+def reference_prune(g, v0, pair: FactorPair):
+    """Pruning as first written: scan the whole graph, drop the first
+    redundant cover in ``components()`` order, and scan again until none is
+    left; then collapse a lone full Cayley graph to the basepoint."""
+    from freeprod import components
+    from freeprod.precover import component_is_cover
+
+    def full(comp):
+        return len(comp.vertices) == pair.factor(comp.factor).order
+
+    h = g.copy()
+    v0 = h.find(v0)
+    while True:
+        comps = components(h)
+        victim = next(
+            (
+                c for c in comps
+                if full(c) and len(c.vb) <= 1 and (v0 not in c.vertices or v0 in c.vb)
+                and component_is_cover(h, c, pair)
+            ),
+            None,
+        )
+        if victim is None:
+            break
+        for e in victim.edges:
+            h.remove_edge(e)
+        for v in sorted(victim.vertices):
+            if v not in victim.vb:
+                h.remove_vertex(v)
+    if (
+        len(comps) == 1
+        and comps[0].vertices == frozenset(h.vertices())
+        and full(comps[0])
+        and component_is_cover(h, comps[0], pair)
+    ):
+        for e in comps[0].edges:
+            h.remove_edge(e)
+        for v in sorted(comps[0].vertices):
+            if v != v0:
+                h.remove_vertex(v)
+    return h
+
+
+def reference_certify(g, v0, pair: FactorPair):
+    """Certification as first written, from a fresh scan of the graph:
+    whether it is a precover, and the verdict on it as a reduced one."""
+    from freeprod import components
+    from freeprod.precover import Verdict, _cover_defect
+
+    if not g.is_well_labelled():
+        pre = Verdict(False, "graph is not well-labelled")
+    elif g.vertices() and not g.is_connected():
+        pre = Verdict(False, "graph is not connected")
+    else:
+        pre = Verdict(True)
+        comps = components(g)
+        for k, comp in enumerate(comps):
+            why = _cover_defect(g, comp, pair)
+            if why is not None:
+                pre = Verdict(False, f"component {k} (factor {comp.factor}) {why}")
+                break
+    if not pre.ok:
+        return False, pre
+    v0 = g.find(v0)
+    for k, comp in enumerate(comps):
+        if (
+            len(comp.vertices) == pair.factor(comp.factor).order
+            and len(comp.vb) <= 1
+            and (v0 not in comp.vertices or v0 in comp.vb)
+        ):
+            return True, Verdict(False, f"component {k} (factor {comp.factor}) is redundant")
+    if (
+        len(comps) == 1
+        and comps[0].vertices == frozenset(g.vertices())
+        and len(comps[0].vertices) == pair.factor(comps[0].factor).order
+    ):
+        return True, Verdict(
+            False, "whole graph is a lone factor Cayley graph; it collapses to the basepoint"
+        )
+    return True, pre
+
+
 def reference_reidemeister_schreier(group, sub, factor: int = 1):
     """Reidemeister-Schreier rewriting as first written, for a group with
     relators: every relator letter is one ``out_edge`` walk step in the
     coset graph, and the symbol word is freely reduced afterwards."""
     from freeprod import InvariantError
-    from freeprod.fingroup import Presentation, coset_graph
+    from freeprod.fingroup import Presentation
     from freeprod.lgraph import spanning_tree
     from freeprod.words import free_reduce, inverse_word
 

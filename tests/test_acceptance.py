@@ -4,9 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and the reported constants.
 """
 
+import importlib.util
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,29 +24,31 @@ from freeprod import (
     subgroup_graph,
     verify,
 )
+from freeprod.cli import load_problem
 from freeprod.fingroup import (
     _group_word_to_letters,
-    cayley_graph,
-    coset_graph,
+    _schreier_walk,
     from_presentation,
     from_table,
     reidemeister_schreier,
-    schreier_stabilizer,
 )
 from freeprod.kurosh import free_basis
 from freeprod.lgraph import LabeledGraph, fold_all, pointed_iso
-from freeprod.precover import is_precover, is_reduced_precover
 from freeprod.words import Letter, NormalWord, inverse_word, normal_to_word, normalize
 
 from helpers import (
     OracleOverflow,
     all_normal_forms,
+    cayley_graph,
+    certify,
+    coset_graph,
     loglog_slope,
     naive_random_fold,
     oracle_membership,
     random_labelled_graph,
     random_subgroups,
     random_word,
+    reference_certify,
     subgraph,
 )
 
@@ -164,6 +169,9 @@ def test_acceptance_uniqueness(corpus):
 def test_acceptance_kurosh_roundtrip(corpus):
     for pair, gens in corpus:
         sg = subgroup_graph(gens, pair)
+        # certification from the scan prune read agrees with a fresh scan
+        ok, verdict = reference_certify(sg.graph, sg.graph.basepoint, pair)
+        assert (sg.precover_ok, sg.reduced_ok, sg.reason) == (ok, verdict.ok, verdict.reason)
         d = decompose(sg)
         check = verify(d, sg)
         assert check.ok, check.reason
@@ -290,6 +298,84 @@ def test_acceptance_decompose_scaling(z2z3):
     )
 
 
+def _counted_within(module, name, counts, monkeypatch):
+    """Wrap ``module.name`` so that the returned Counter collects what
+    ``counts`` gains during its calls."""
+    within = Counter()
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        before = counts.copy()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            within.update(counts - before)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return within
+
+
+def _random_words_ladder(tmp_path):
+    """fpbench's random-words family (Z4*Z6, words of 200 letters corrected
+    into a kernel, rng seed 5) at 2 to 32 words: the family where pruning
+    has the most victims."""
+    spec = importlib.util.spec_from_file_location(
+        "fpbench_gen", Path(__file__).resolve().parents[1] / "fpbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen   # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    for count in (2, 4, 8, 16, 32):
+        path = tmp_path / f"ladder-{count}.fp"
+        path.write_text(gen.random_words_problem(random.Random(5), "ladder", count).text())
+        yield load_problem(path)
+
+
+def test_acceptance_prune_scaling(tmp_path, monkeypatch):
+    # pruning reads the one scan after saturation and takes its victims
+    # from a heap; a scan per victim made it quadratic on this ladder
+    # (1.05 s at m = 6584)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("components", "_covers"):
+        monkeypatch.setattr(freeprod.precover, name, counted(name, getattr(freeprod.precover, name)))
+    prune = _counted_within(freeprod.precover, "prune_redundant", counts, monkeypatch)
+    real = freeprod.precover.prune_redundant
+    spent = []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        result = real(*args)
+        spent.append(time.perf_counter() - t0)
+        return result
+
+    monkeypatch.setattr(freeprod.precover, "prune_redundant", timed)
+    sizes, times = [], []
+    for problem in _random_words_ladder(tmp_path):
+        spent.clear()
+        for _ in range(5):
+            sg = subgroup_graph(problem.generators, problem.pair)
+        assert sg.precover_ok and sg.reduced_ok
+        sizes.append(sum(map(len, problem.generators)))
+        times.append(min(spent))
+    assert prune["components"] == prune["_covers"] == 0, (
+        f"prune made {prune['components']} scans and {prune['_covers']} cover tests"
+    )
+    slope = loglog_slope(sizes, times)
+    assert slope <= 1.4, f"prune log-log slope {slope:.2f} is not near linear"
+    print(
+        f"\nACCEPTANCE prune-scaling: PASS (slope = {slope:.2f}, m = {sizes}, "
+        f"times = {[f'{t * 1000:.1f}ms' for t in times]})"
+    )
+
+
 def test_acceptance_work_counts(z2z3, monkeypatch):
     # counts of whole-graph scans, spanning trees and vertex letter checks on
     # the first seed-777 problem at m = 800: unlike the wall-time gates, host
@@ -313,6 +399,7 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     # union-find walks: edge endpoints are kept at their roots, so only
     # vertex ids handed in from outside (basepoints, walk roots) need one
     monkeypatch.setattr(LabeledGraph, "find", counted("find", LabeledGraph.find))
+    prune = _counted_within(freeprod.precover, "prune_redundant", counts, monkeypatch)
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
     covers = components(sg.graph)   # every component of a precover is a cover
@@ -320,7 +407,11 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     verts = sg.vertex_count
     counts.clear()
     decompose(sg)
-    assert build["components"] <= 3, f"{build['components']} component scans per build"
+    # one scan in saturate, and one after it that prune and certification share
+    assert build["components"] <= 2, f"{build['components']} component scans per build"
+    assert prune["components"] == prune["_covers"] == 0, (
+        f"prune made {prune['components']} scans and {prune['_covers']} cover tests"
+    )
     # one cover test per component in saturate and one in certification
     assert build["_covers"] <= 2 * comps, (
         f"{build['_covers']} cover tests per build for {comps} components"
@@ -429,7 +520,7 @@ def test_acceptance_precover_gallery(z4z6):
     cycle(bad, verts, Y)
     tri = [verts[0], bad.add_vertex(), bad.add_vertex()]
     cycle(bad, tri, X)  # saturated 3-cycle, yet x^4 does not act trivially
-    assert not is_precover(bad, z4z6).ok
+    assert not certify(bad, bad.basepoint, z4z6)[0]
 
     # a two-component precover passes
     two = LabeledGraph()
@@ -437,8 +528,8 @@ def test_acceptance_precover_gallery(z4z6):
     cycle(two, [a, b], X)
     c, d = two.add_vertex(), two.add_vertex()
     cycle(two, [a, c, d], Y)
-    assert is_precover(two, z4z6).ok
-    assert is_reduced_precover(two, a, z4z6).ok
+    assert certify(two, two.basepoint, z4z6)[0]
+    assert certify(two, a, z4z6)[1].ok
 
     # a full Cayley component with one bichromatic vertex and trivial
     # stabilizer is redundant exactly for basepoints outside its interior
@@ -446,10 +537,10 @@ def test_acceptance_precover_gallery(z4z6):
     ring = [g2.add_vertex() for _ in range(6)]
     cycle(g2, ring, Y)
     g2.add_edge(ring[0], ring[0], X)
-    assert is_precover(g2, z4z6).ok
-    assert not is_reduced_precover(g2, ring[0], z4z6).ok
+    assert certify(g2, g2.basepoint, z4z6)[0]
+    assert not certify(g2, ring[0], z4z6)[1].ok
     for v in ring[1:]:
-        assert is_reduced_precover(g2, v, z4z6).ok
+        assert certify(g2, v, z4z6)[1].ok
     print("\nACCEPTANCE precover-gallery: PASS")
 
 
@@ -497,7 +588,7 @@ def test_acceptance_property_suites(z2z3, z4z6):
         sub = group.closure(seed)
         cg = coset_graph(group, sub)
         v = rng.choice(cg.vertices())
-        stab = schreier_stabilizer(cg, v, group, components(cg)[0])
+        stab = _schreier_walk(cg, v, group, components(cg)[0])[0]
         assert len(stab) * cg.vertex_count() == group.order
     counts["schreier"] = n_schreier
 

@@ -4,8 +4,10 @@ import pytest
 
 import freeprod.cli
 from freeprod.cli import main
-from freeprod.precover import Verdict, is_precover
+from freeprod.precover import Verdict
 from freeprod.words import Letter
+
+from helpers import reference_certify
 
 PSL2_FILE = """\
 [factor1]
@@ -280,23 +282,67 @@ def test_member_word_exponent_is_ascii_digits(psl2_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, where",
     [
-        ("generators = a\n", "generators = a^2\n"),
-        ("generators = a\n", "generators = x y\n"),
-        ("type = cyclic 3\ngenerators = b", "type = presentation\ngenerators = b c, d"),
+        ("generators = a\n", "generators = a^2\n", "line 3, column 14"),
+        ("generators = a\n", "generators = x y\n", "line 3, column 14"),
+        ("type = cyclic 3\ngenerators = b", "type = presentation\ngenerators = b c, d",
+         "line 7, column 14"),
     ],
     ids=["power", "two-tokens", "presentation"],
 )
-def test_labels_no_word_can_name_are_refused(tmp_path, capsys, old, new):
-    # an unnameable label is an input error, also before a presentation's
-    # enumeration could run into the cap
+def test_labels_no_word_can_name_are_refused(tmp_path, capsys, old, new, where):
+    # an unnameable label is an input error at its section's generators
+    # entry, also before a presentation's enumeration could run into the cap
     p = tmp_path / "psl2.fp"
     p.write_text(PSL2_FILE.split("[subgroup]")[0].replace(old, new))
     for command in ("build", "present"):
         code, out, err = _run(capsys, command, p)
         assert code == 2 and out == ""
-        assert err.startswith("error: generator label ") and "is not a word token" in err
+        assert err.startswith(f"error: {where}: generator label ") and "is not a word token" in err
+
+
+@pytest.mark.parametrize(
+    "base, old, new, where, message",
+    [
+        (PSL2_FILE, "type = cyclic 3\ngenerators = b",
+         "type = presentation\ngenerators = b, b\nrelators = b^2",
+         "line 7, column 14", "generator labels are not pairwise distinct"),
+        (PSL2_FILE, "generators = b\n", "generators = a\n",
+         "line 7, column 14", "factor generator labels are not disjoint: ['a']"),
+        (KLEIN_FILE, "c:2", "c:0", "line 3, column 14", "generator 'c' maps to the identity"),
+        (KLEIN_FILE, "c:2", "c:2\nrelators = a c", "line 4, column 12", "does not hold in the group"),
+        (KLEIN_FILE, "klein.tbl", "bad.tbl", "line 2, column 8", "table has no two-sided identity"),
+    ],
+    ids=["duplicate-labels", "label-clash", "identity-image", "false-relator", "table"],
+)
+def test_factor_validation_errors_name_their_entry(tmp_path, capsys, base, old, new, where, message):
+    # a factor that fails validation is an input error at the line and
+    # column of the entry at fault: a duplicate presentation label exits 2
+    # before any enumeration, and a label clash blames the second factor
+    rows = [[i ^ j for j in range(4)] for i in range(4)]
+    (tmp_path / "klein.tbl").write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+    rows[0][0] = 1
+    (tmp_path / "bad.tbl").write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+    p = tmp_path / "factor.fp"
+    p.write_text(base.replace(old, new))
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: ") and message in err
+
+
+@pytest.mark.parametrize("entry", ["\u0660", "1_0", "+1", "-1", "\uff11"])
+def test_table_entries_are_ascii_digits(tmp_path, capsys, entry):
+    # a table entry is ASCII digits: int() would read an Arabic-Indic zero
+    # as 0 and 1_0 as 10, and the build would go on with a table never given
+    rows = [[str(i ^ j) for j in range(4)] for i in range(4)]
+    rows[3][0] = entry
+    (tmp_path / "klein.tbl").write_text("4\n" + "\n".join(" ".join(r) for r in rows))
+    p = tmp_path / "klein.fp"
+    p.write_text(KLEIN_FILE)
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert "line 2: table file" in err and "has non-integer entries" in err
 
 
 def test_kurosh_failed_verification(psl2_file, capsys, monkeypatch):
@@ -347,8 +393,8 @@ def test_present_refuses_an_unreachable_cover(psl2_file, capsys, monkeypatch):
         u, v, w = (g.add_vertex() for _ in range(3))
         for x, y in ((u, v), (v, w), (w, u)):
             g.add_edge(x, y, Letter(2, 0, 1))
-        verdict = is_precover(g, pair)
-        return dataclasses.replace(sg, graph=g, precover_ok=verdict.ok, reason=verdict.reason)
+        ok, verdict = reference_certify(g, g.basepoint, pair)
+        return dataclasses.replace(sg, graph=g, precover_ok=ok, reason=verdict.reason)
 
     monkeypatch.setattr(freeprod.cli, "subgroup_graph", detached)
     code, out, err = _run(capsys, "present", psl2_file)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import freeprod
 from freeprod import FactorPair, components, decompose, make_cyclic, parse_word, subgroup_graph
-from freeprod.fingroup import cayley_graph
 from freeprod.lgraph import (
     LabeledGraph,
     bouquet,
@@ -25,7 +24,7 @@ from freeprod.lgraph import (
 from freeprod.precover import prune_redundant, saturate
 from freeprod.words import Letter
 
-from helpers import classify_vertices
+from helpers import cayley_graph, classify_vertices, scan
 
 A = Letter(1, 0, 1)
 B = Letter(2, 0, 1)
@@ -328,7 +327,7 @@ def test_live_edges_start_at_roots_through_the_pipeline(data):
     gens = [tuple(w) for w in data.draw(st.lists(word, min_size=1, max_size=4))]
     g = bouquet(gens, pair)
     _assert_endpoints_at_roots(g)
-    prune = lambda g: prune_redundant(g, g.basepoint, pair)
+    prune = lambda g: prune_redundant(g, g.basepoint, pair, scan(g, pair))
     for stage in (fold_all, cut_hairs, lambda g: saturate(g, pair), prune):
         g = stage(g)
         _assert_endpoints_at_roots(g)
@@ -372,7 +371,7 @@ def test_fold_then_pipeline_matches_pipeline(z2z3):
         g = fold_all(fold_all(bouquet(gens, z2z3)))  # pre-folded start
         g = cut_hairs(g)
         g = saturate(g, z2z3)
-        g = prune_redundant(g, g.basepoint, z2z3)
+        g = prune_redundant(g, g.basepoint, z2z3, scan(g, z2z3))
         assert pointed_iso(g, g.basepoint, sg.graph, sg.graph.basepoint)
 
 

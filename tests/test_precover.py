@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+
+import freeprod
 
 from freeprod import (
     FactorPair,
@@ -14,14 +17,12 @@ from freeprod import (
     parse_word,
     subgroup_graph,
 )
-from freeprod.fingroup import cayley_graph, coset_graph, schreier_stabilizer
+from freeprod.fingroup import _append_cayley, _schreier_walk
 from freeprod.kurosh import basic_step
 from freeprod.lgraph import LabeledGraph, bouquet, cut_hairs, dump, fold_all, pointed_iso
 from freeprod.precover import (
     _cover_defect,
     component_is_cover,
-    is_precover,
-    is_reduced_precover,
     prune_redundant,
     saturate,
 )
@@ -29,13 +30,19 @@ from freeprod.words import Letter
 
 from helpers import (
     all_normal_forms,
+    cayley_graph,
+    certify,
+    coset_graph,
     oracle_membership,
     random_subgroups,
     reference_components,
     reference_cover_defect,
+    reference_certify,
     reference_index_if_finite,
+    reference_prune,
     reference_saturate,
     reference_stabilizer,
+    scan,
     subgraph,
 )
 
@@ -69,8 +76,8 @@ def test_saturate_completes_single_edge(z2z3):
     g.add_edge(u, v, Letter(1, 0, 1))
     h = saturate(g, z2z3)
     assert h.vertex_count() == 2 and h.edge_count() == 2
-    ok = is_precover(h, z2z3)
-    assert ok.ok, ok.reason
+    ok, verdict = certify(h, h.basepoint, z2z3)
+    assert ok, verdict.reason
 
 
 def test_saturate_repairs_unbased_cycle(z4z6):
@@ -78,22 +85,22 @@ def test_saturate_repairs_unbased_cycle(z4z6):
     g = LabeledGraph()
     verts = [g.add_vertex() for _ in range(3)]
     _cycle(g, verts, X)
-    assert not is_precover(g, z4z6).ok
+    assert not certify(g, g.basepoint, z4z6)[0]
     h = saturate(g, z4z6)
-    ok = is_precover(h, z4z6)
-    assert ok.ok, ok.reason
+    ok, verdict = certify(h, h.basepoint, z4z6)
+    assert ok, verdict.reason
     # x^3 generates Z4, so everything collapses to the one-coset graph
     assert h.vertex_count() == 1 and h.edge_count() == 1
 
 
 def test_prune_collapses_lone_cayley(z2z3):
     g = cayley_graph(make_cyclic(2, "a"))
-    h = prune_redundant(g, g.basepoint, z2z3)
+    h = prune_redundant(g, g.basepoint, z2z3, scan(g, z2z3))
     assert h.vertex_count() == 1 and h.edge_count() == 0
 
 
 def test_prune_is_fixpoint_on_reduced(z2z3, psl2_sg):
-    h = prune_redundant(psl2_sg.graph, psl2_sg.graph.basepoint, z2z3)
+    h = prune_redundant(psl2_sg.graph, psl2_sg.graph.basepoint, z2z3, scan(psl2_sg.graph, z2z3))
     assert pointed_iso(
         h, h.basepoint, psl2_sg.graph, psl2_sg.graph.basepoint
     )
@@ -103,12 +110,12 @@ def test_prune_depends_on_basepoint(z4z6):
     g, verts = _gallery_gamma2(z4z6)
     # basepoint at the bichromatic vertex: the y-component is redundant
     g.set_basepoint(verts[0])
-    h = prune_redundant(g, verts[0], z4z6)
+    h = prune_redundant(g, verts[0], z4z6, scan(g, z4z6))
     assert h.vertex_count() == 1 and h.edge_count() == 1
     # basepoint at a monochromatic y-vertex: nothing to prune
     g2, verts2 = _gallery_gamma2(z4z6)
     g2.set_basepoint(verts2[3])
-    h2 = prune_redundant(g2, verts2[3], z4z6)
+    h2 = prune_redundant(g2, verts2[3], z4z6, scan(g2, z4z6))
     assert pointed_iso(h2, h2.basepoint, g2, g2.basepoint)
 
 
@@ -136,11 +143,11 @@ def test_subgroup_graph_single_generator(z2z3):
 def test_is_precover_gallery(z4z6):
     # one full Cayley(Z4) component alone
     g1 = cayley_graph(make_cyclic(4, "x"))
-    assert is_precover(g1, z4z6).ok
+    assert certify(g1, g1.basepoint, z4z6)[0]
 
     # two components sharing one vertex
     g2, _ = _gallery_gamma2(z4z6)
-    assert is_precover(g2, z4z6).ok
+    assert certify(g2, g2.basepoint, z4z6)[0]
 
     # x-components that are not covers: an attached 3-cycle of x-edges
     g3 = LabeledGraph()
@@ -148,7 +155,7 @@ def test_is_precover_gallery(z4z6):
     _cycle(g3, verts, Y)
     tri = [verts[0], g3.add_vertex(), g3.add_vertex()]
     _cycle(g3, tri, X)
-    bad = is_precover(g3, z4z6)
+    bad = certify(g3, g3.basepoint, z4z6)[1]
     assert not bad.ok and "not a cover" in bad.reason
 
     # an unsaturated x-edge also fails, with a witness
@@ -156,7 +163,7 @@ def test_is_precover_gallery(z4z6):
     verts = [g3b.add_vertex() for _ in range(6)]
     _cycle(g3b, verts, Y)
     g3b.add_edge(verts[0], g3b.add_vertex(), X)
-    bad2 = is_precover(g3b, z4z6)
+    bad2 = certify(g3b, g3b.basepoint, z4z6)[1]
     assert not bad2.ok and "not saturated" in bad2.reason
 
     # a 2-cycle x-cover plus a 3-cycle y-cover, glued at one vertex
@@ -165,23 +172,23 @@ def test_is_precover_gallery(z4z6):
     _cycle(g4, [a, b], X)
     c, d = g4.add_vertex(), g4.add_vertex()
     _cycle(g4, [a, c, d], Y)
-    assert is_precover(g4, z4z6).ok
+    assert certify(g4, g4.basepoint, z4z6)[0]
 
     # single vertex, no edges: the empty precover
     point = LabeledGraph()
     point.add_vertex()
-    assert is_precover(point, z4z6).ok
+    assert certify(point, point.basepoint, z4z6)[0]
 
 
 def test_is_reduced_precover_gallery(z4z6):
     g1 = cayley_graph(make_cyclic(4, "x"))
     for v in list(g1.vertices()):
-        assert not is_reduced_precover(g1, v, z4z6).ok
+        assert not certify(g1, v, z4z6)[1].ok
 
     g2, verts = _gallery_gamma2(z4z6)
-    assert not is_reduced_precover(g2, verts[0], z4z6).ok
+    assert not certify(g2, verts[0], z4z6)[1].ok
     for v in verts[1:]:
-        assert is_reduced_precover(g2, v, z4z6).ok
+        assert certify(g2, v, z4z6)[1].ok
 
     g4 = LabeledGraph()
     a, b = g4.add_vertex(), g4.add_vertex()
@@ -189,11 +196,11 @@ def test_is_reduced_precover_gallery(z4z6):
     c, d = g4.add_vertex(), g4.add_vertex()
     _cycle(g4, [a, c, d], Y)
     for v in (a, b, c, d):
-        assert is_reduced_precover(g4, v, z4z6).ok
+        assert certify(g4, v, z4z6)[1].ok
 
     point = LabeledGraph()
     point.add_vertex()
-    assert is_reduced_precover(point, 0, z4z6).ok
+    assert certify(point, 0, z4z6)[1].ok
 
 
 def test_contains_psl2_examples(z2z3, psl2_sg):
@@ -308,11 +315,11 @@ def test_prune_cascades_through_chained_components(z2z3):
     r = g.add_vertex()
     g.add_edge(p, r, Letter(1, 0, 1))        # full Cayley(Z2) hanging off p
     g.add_edge(r, p, Letter(1, 0, 1))
-    assert is_precover(g, z2z3).ok
-    h = prune_redundant(g, v0, z2z3)
+    assert certify(g, g.basepoint, z2z3)[0]
+    h = prune_redundant(g, v0, z2z3, scan(g, z2z3))
     assert h.vertices() == [v0]
     assert h.edge_count() == 1
-    assert is_reduced_precover(h, v0, z2z3).ok
+    assert certify(h, v0, z2z3)[1].ok
 
 
 def test_is_precover_rejects_disconnected(z2z3):
@@ -320,7 +327,7 @@ def test_is_precover_rejects_disconnected(z2z3):
     g.add_vertex()
     v = g.add_vertex()
     g.add_edge(v, v, Letter(1, 0, 1))
-    res = is_precover(g, z2z3)
+    res = certify(g, g.basepoint, z2z3)[1]
     assert not res.ok and "connected" in res.reason
 
 
@@ -343,7 +350,7 @@ def _is_coset_graph(g, comp, pair):
     subgroup by a pointed isomorphism walk."""
     group = pair.factor(comp.factor)
     v = comp.min_vertex
-    stab = schreier_stabilizer(g, v, group, within=comp)
+    stab = _schreier_walk(g, v, group, comp)[0]
     expected = coset_graph(group, stab, factor=comp.factor)
     piece = subgraph(g, comp.vertices, comp.edges, v)
     return pointed_iso(piece, piece.basepoint, expected, expected.basepoint)
@@ -388,7 +395,7 @@ def test_one_pass_readers_agree_with_references(data):
     if stage in ("saturated", "pruned"):
         g = saturate(g, pair)
     if stage == "pruned":
-        g = prune_redundant(g, g.basepoint, pair)
+        g = prune_redundant(g, g.basepoint, pair, scan(g, pair))
     edges = g.edges()
     dead = data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)) if edges else []
     for e in dead:
@@ -411,7 +418,7 @@ def test_one_pass_readers_agree_with_references(data):
         group = pair.factor(comp.factor)
         for v in comp.vertices:
             stab, tree = reference_stabilizer(g, v, group, comp)
-            assert schreier_stabilizer(g, v, group, within=comp) == stab
+            assert _schreier_walk(g, v, group, comp)[0] == stab
             if why is None:
                 h = g.copy()
                 assert basic_step(h, comp, v, pair) == stab
@@ -442,5 +449,123 @@ def test_one_pass_saturate_matches_the_fixpoint_loop(data):
         g.add_edge(u, v, l)
     g = cut_hairs(fold_all(g))
     h = saturate(g, pair)
-    assert is_precover(h, pair).ok
+    assert certify(h, h.basepoint, pair)[0]
     assert dump(h, pair) == dump(reference_saturate(g, pair), pair)
+
+
+def _draw_graph(data, pair):
+    """A random connected labelled graph over the pair's letters, folded
+    and hair-cut."""
+    letter = st.sampled_from(pair.all_letters())
+    n = data.draw(st.integers(1, 8))
+    g = LabeledGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for v in range(1, n):
+        g.add_edge(data.draw(st.integers(0, v - 1)), v, data.draw(letter))
+    vertex = st.integers(0, n - 1)
+    for u, v, l in data.draw(st.lists(st.tuples(vertex, vertex, letter), max_size=8)):
+        g.add_edge(u, v, l)
+    return cut_hairs(fold_all(g))
+
+
+def _hang_cayley_graphs(data, g, pair):
+    """Glue full factor Cayley graphs, each by its identity, onto vertices
+    with no edge of that factor: chains of redundant components."""
+    for _ in range(data.draw(st.integers(0, 6))):
+        v = data.draw(st.sampled_from(g.vertices()))
+        factor = data.draw(st.sampled_from((1, 2)))
+        if any(g.label(e).factor == factor for e in g.half_edges(v)):
+            continue
+        group = pair.factor(factor)
+        g._union(v, _append_cayley(g, group, factor) + group.identity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prune_matches_the_rescanning_loop(data):
+    # the heap of victims, fed by the one scan, drops the same components
+    # in the same order as scanning again after every victim; unsaturated
+    # graphs keep their non-covers
+    pair = _SATURATE_PAIRS[data.draw(st.sampled_from(sorted(_SATURATE_PAIRS)))]
+    g = _draw_graph(data, pair)
+    if data.draw(st.booleans()):
+        g = saturate(g, pair)
+    _hang_cayley_graphs(data, g, pair)
+    v0 = data.draw(st.sampled_from(g.vertices()))
+    h = prune_redundant(g, v0, pair, scan(g, pair))
+    want = reference_prune(g, v0, pair)
+    event("pruned" if h.vertex_count() < g.vertex_count() else "nothing pruned")
+    assert dump(h, pair) == dump(want, pair)
+    assert h.vertices() == want.vertices()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certification_matches_the_fresh_scan(data):
+    # subgroup_graph certifies from the records of the scan that prune
+    # read; a fresh scan of the final graph must give the same verdict,
+    # also with a stage skipped or an edge deleted after pruning
+    pair = _SATURATE_PAIRS[data.draw(st.sampled_from(sorted(_SATURATE_PAIRS)))]
+    word = st.lists(st.sampled_from(pair.all_letters()), min_size=1, max_size=8)
+    gens = [tuple(w) for w in data.draw(st.lists(word, max_size=4))]
+    variant = data.draw(st.sampled_from(("pipeline", "saturate", "prune", "edge deleted")))
+    real = freeprod.precover.prune_redundant
+
+    def damaged(g, *rest):
+        h = real(g, *rest)
+        if h.edges():
+            h.remove_edge(data.draw(st.sampled_from(h.edges())))
+        return h
+
+    stage, skip = {
+        "pipeline": ("saturate", saturate),
+        "saturate": ("saturate", lambda g, *rest: g),
+        "prune": ("prune_redundant", lambda g, *rest: g),
+        "edge deleted": ("prune_redundant", damaged),
+    }[variant]
+    with mock.patch.object(freeprod.precover, stage, skip):
+        sg = subgroup_graph(gens, pair)
+    ok, verdict = reference_certify(sg.graph, sg.graph.basepoint, pair)
+    event(f"{variant}: precover {ok}, reduced {verdict.ok}")
+    assert (sg.precover_ok, sg.reduced_ok) == (ok, verdict.ok)
+    if variant == "edge deleted" and not ok:
+        assert sg.reason is not None   # the fresh scan names the split component
+    else:
+        assert sg.reason == verdict.reason
+
+
+def test_certification_reads_bichromatic_vertices_again(z2z3, monkeypatch):
+    # <a, b a b^-1> is a b-triangle with an a-loop at two of its vertices.
+    # Deleting the loop away from the basepoint after pruning leaves the
+    # triangle touching the rest of the graph at the basepoint alone, so
+    # its bichromatic vertices must be read again to find it redundant
+    a, b = Letter(1, 0, 1), Letter(2, 0, 1)
+    real = freeprod.precover.prune_redundant
+
+    def damaged(g, *rest):
+        h = real(g, *rest)
+        v = h.term(h.out_edge(h.basepoint, b))
+        h.remove_edge(h.out_edge(v, a))
+        return h
+
+    monkeypatch.setattr(freeprod.precover, "prune_redundant", damaged)
+    sg = subgroup_graph([(a,), (b, a, b.inverse())], z2z3)
+    assert sg.precover_ok and not sg.reduced_ok
+    assert sg.reason == "component 1 (factor 2) is redundant"
+    assert reference_certify(sg.graph, sg.graph.basepoint, z2z3)[1].reason == sg.reason
+
+
+def test_a_doubled_letter_after_saturation_fails_certification(z2z3, monkeypatch):
+    # the scan after saturation tests covers before certification checks
+    # the labels; a doubled letter is a certification failure, not a raise
+    real = freeprod.precover.saturate
+
+    def doubled(g, pair):
+        h = real(g, pair)
+        h.add_edge(h.basepoint, h.basepoint, Letter(1, 0, 1))
+        return h
+
+    monkeypatch.setattr(freeprod.precover, "saturate", doubled)
+    sg = subgroup_graph([parse_word("a", z2z3)], z2z3)
+    assert not sg.precover_ok and sg.reason == "graph is not well-labelled"
