@@ -16,7 +16,8 @@ A problem file names the two finite factors and the subgroup generators:
 
 Factor types: ``cyclic N``, ``table FILE`` (first line the order, then an
 order x order table of element ids; generators given as ``name:id``) and
-``presentation`` (bounded enumeration of the given relators).
+``presentation`` (bounded enumeration of the given relators).  A section
+may hold only the keys it reads (``_KEYS``).
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class _Section:
     line: int
     entries: dict[str, tuple[str, int, int]] = field(default_factory=dict)
     # key -> (value, line, column of value start)
+    key_columns: dict[str, int] = field(default_factory=dict)   # key -> its column
 
     def get(self, key: str) -> tuple[str, int, int] | None:
         return self.entries.get(key)
@@ -116,6 +118,7 @@ def _parse_sections(text: str) -> dict[str, _Section]:
             raise ProblemFileError(f"duplicate key {k!r} in [{current.name}]", lineno)
         vcol = len(key) + 2 + len(value) - len(value.lstrip())  # 1-based column of the value text
         current.entries[k] = (value.strip(), lineno, vcol)
+        current.key_columns[k] = len(key) - len(key.lstrip()) + 1
     return sections
 
 
@@ -183,10 +186,30 @@ def _read_table_file(path: Path, line: int, col: int, cap: int) -> list[list[int
     return table
 
 
+# the keys each kind of section reads: a factor section by its type
+_KEYS = {
+    "cyclic": ("type", "generators"),
+    "table": ("type", "generators", "relators"),
+    "presentation": ("type", "generators", "relators", "cap"),
+    "subgroup": ("generators",),
+    "options": ("cap",),
+}
+
+
+def _factor_kind(sec: _Section) -> str:
+    tvalue, tline, tcol = sec.require("type")
+    kind = (tvalue.split() or [""])[0]
+    if kind not in ("cyclic", "table", "presentation"):
+        raise ProblemFileError(
+            f"unknown factor type {kind!r} (expected cyclic, table or presentation)", tline, tcol
+        )
+    return kind
+
+
 def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
+    kind = _factor_kind(sec)
     tvalue, tline, tcol = sec.require("type")
     parts = tvalue.split()
-    kind = parts[0] if parts else ""
     gvalue, gline, gcol = sec.require("generators")
     gen_items = _split_list(gvalue, gline, gcol)
 
@@ -213,16 +236,11 @@ def _build_factor(sec: _Section, base: Path, cap: int) -> FiniteGroup:
         relators = _relators(sec, tuple(n for n, _ in gens))
         return FiniteGroup(table, gens, relators=relators, cap=cap)
 
-    if kind == "presentation":
-        labels = tuple(item for item, _ in gen_items)
-        own_cap = sec.get("cap")
-        if own_cap is not None:
-            cap = min(cap, _cap_value(own_cap))  # a section may lower the bound, not lift it
-        return from_presentation(labels, _relators(sec, labels) or [], cap=cap)
-
-    raise ProblemFileError(
-        f"unknown factor type {kind!r} (expected cyclic, table or presentation)", tline, tcol
-    )
+    labels = tuple(item for item, _ in gen_items)   # a presentation
+    own_cap = sec.get("cap")
+    if own_cap is not None:
+        cap = min(cap, _cap_value(own_cap))  # a section may lower the bound, not lift it
+    return from_presentation(labels, _relators(sec, labels) or [], cap=cap)
 
 
 @dataclass
@@ -262,6 +280,13 @@ def load_problem(path: str | Path, cap: int | None = None) -> Problem:
     if extra:
         sec = sections[sorted(extra)[0]]
         raise ProblemFileError(f"unknown section [{sec.name}]", sec.line)
+    for name, sec in sections.items():   # a misspelt key is refused, not dropped
+        kind = name if name in _KEYS else _factor_kind(sec)
+        for key, kcol in sec.key_columns.items():
+            if key not in _KEYS[kind]:
+                allowed = ", ".join(_KEYS[kind])
+                message = f"unknown key {key!r} in [{name}] ({kind} sections take {allowed})"
+                raise ProblemFileError(message, sec.entries[key][1], kcol)
 
     if cap is None:   # --cap overrides [options]
         opt = sections.get("options")

@@ -470,7 +470,7 @@ def _schreier_walk(
     edges in letter order and evaluates the tree elements t_u.  The
     Schreier rule then closes t_u * x * t_w^-1 over the non-tree edges
     u -x-> w.  A component is connected, so the pass reaches all of it;
-    it must be saturated.  ``kurosh.basic_step`` keeps the tree.
+    it must be saturated.  ``kurosh.basic_step`` returns both.
     """
     v = c.find(v)
     if v not in within.vertices:

@@ -1,17 +1,17 @@
 """Reading a Kurosh decomposition off a subgroup graph.
 
-One breadth-first spanning tree from the basepoint, built before anything
-is deleted, fixes every conjugator: the first vertex of a cover component
-in the tree's BFS order is the component's basepoint, and the tree word to
-it is the conjugator.  The covers are read in that order, factor 1 first
-at a shared basepoint, so the factors are listed in BFS order of their
-basepoints and conjugator lengths never decrease down the list.  Each
-cover component is read by one walk from its basepoint, the same walk
-that tests covers: it yields the loop subgroup (a factor when non-trivial)
-and a spanning tree of the component, which replaces the component in
-place on one working copy of the graph.
-Once every component is a tree the residual graph determines a free
-group, whose basis is read off the non-tree edges of a spanning tree.
+The certified graph is only read.  One breadth-first spanning tree from
+the basepoint fixes every conjugator: the first vertex of a cover
+component in the tree's BFS order is the component's basepoint, and the
+tree word to it is the conjugator.  The covers are read in that order,
+factor 1 first at a shared basepoint, so the factors are listed in BFS
+order of their basepoints and conjugator lengths never decrease down the
+list.  Each cover component is read by one walk from its basepoint, the
+same walk that tests covers: it yields the loop subgroup (a factor when
+non-trivial) and a spanning tree of the component.  The kept tree edges
+are the graph Delta, whose free group's basis is read off one spanning
+tree of them; a count of the covers' edges checks that Delta has no
+other one-colour component.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class ConjugatedFactor:
 class KuroshDecomposition:
     factors: tuple[ConjugatedFactor, ...]
     free_basis: tuple[Word, ...]
-    delta: LabeledGraph
 
     @property
     def free_rank(self) -> int:
@@ -74,42 +73,27 @@ def mcc(g: LabeledGraph, pair: FactorPair) -> list[MonoComponent]:
     return [c for c in components(g) if component_is_cover(g, c, pair)]
 
 
-def basic_step(g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair) -> frozenset[int]:
-    """Replace a cover component by its spanning tree at ``v``, in place.
-
-    The cover test's walk (``fingroup._schreier_walk``) reads the loop
-    subgroup at ``v`` and the breadth-first tree in letter order; the
-    component's other edges are then deleted from ``g``.  The subgroup is
-    trivial when the component was a full Cayley graph; the tree still
-    stays behind and feeds the free rank.
-    """
-    stab, tree = _schreier_walk(g, v, pair.factor(c.factor), c)
-    for e in c.edges:
-        if e not in tree:
-            g.remove_edge(e)
-    return stab
+def basic_step(
+    g: LabeledGraph, c: MonoComponent, v: int, pair: FactorPair
+) -> tuple[frozenset[int], set[int]]:
+    """The loop subgroup of a cover component at ``v`` and the direct ids
+    of the edges of its spanning tree from ``v``, which stands for the
+    component in Delta.  Both come from the cover test's walk
+    (``fingroup._schreier_walk``); the subgroup is trivial when the
+    component is a full Cayley graph, and the tree still feeds the rank."""
+    return _schreier_walk(g, v, pair.factor(c.factor), c)
 
 
-def free_basis(delta: LabeledGraph, v0: int) -> list[Word]:
-    """Free basis words of the subgroup a tree-component graph determines.
-
-    One word per non-tree geometric edge of a spanning tree: tree path in,
-    the edge, tree path back.  The rank is |E| - |V| + 1.
-    """
-    for comp in components(delta):
-        if len(comp.edges) != len(comp.vertices) - 1:
-            raise ValueError("all monochromatic components must be trees")
-    tree = spanning_tree(delta, delta.find(v0))
+def free_basis(g: LabeledGraph, v0: int, tree_edges: set[int]) -> list[Word]:
+    """Free basis words of the subgroup that the edges ``tree_edges`` of
+    ``g`` determine, each of their one-colour components being a tree: one
+    word per kept edge outside a spanning tree of them, in id order, made
+    of the tree path in, the edge and the tree path back."""
+    tree = spanning_tree(g, v0, tree_edges)
     basis: list[Word] = []
-    for e in delta.edges():
-        if e in tree.geo_edges:
-            continue
-        h = delta.positive_half(e)
-        w = (
-            tree.word_to(delta.init(h))
-            + (delta.label(h),)
-            + inverse_word(tree.word_to(delta.term(h)))
-        )
+    for e in sorted(tree_edges - tree.geo_edges):
+        h = g.positive_half(e)
+        w = tree.word_to(g.init(h)) + (g.label(h),) + inverse_word(tree.word_to(g.term(h)))
         basis.append(free_reduce(w))
     return basis
 
@@ -117,9 +101,8 @@ def free_basis(delta: LabeledGraph, v0: int) -> list[Word]:
 def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
     """Full decomposition of the subgroup a certified graph determines,
     read off one spanning tree as the module docstring describes."""
-    pair = sg.pair
-    g = sg.graph.copy()
-    tree = spanning_tree(g, g.basepoint)
+    pair, g = sg.pair, sg.graph
+    tree = spanning_tree(g, g.basepoint, None)
     covers = mcc(g, pair)
     at: dict[int, list[int]] = {}   # vertex -> the covers through it, factor 1 first
     for i in sorted(range(len(covers)), key=lambda i: covers[i].factor):
@@ -127,13 +110,15 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
             at.setdefault(u, []).append(i)
     unread = set(range(len(covers)))
     factors: list[ConjugatedFactor] = []
+    kept: set[int] = set()   # Delta: the edges of the covers' trees
     for v in tree.order:
         for i in at.get(v, ()):
             if i not in unread:
                 continue
             unread.remove(i)
             comp = covers[i]
-            stab = basic_step(g, comp, v, pair)
+            stab, comp_tree = basic_step(g, comp, v, pair)
+            kept |= comp_tree
             if len(stab) == 1:
                 continue
             conjugator = tree.word_to(v)
@@ -151,11 +136,14 @@ def decompose(sg: SubgroupGraph) -> KuroshDecomposition:
             )
     if unread:
         raise InvariantError("component is not reachable from the basepoint")
-    try:
-        basis = free_basis(g, sg.graph.basepoint)
-    except ValueError as exc:
-        raise InvariantError(f"a non-tree component survived the basic steps: {exc}") from exc
-    d = KuroshDecomposition(tuple(factors), tuple(basis), g)
+    # the covers share no edge, so they hold every edge of g exactly when
+    # their edge counts add up; then Delta is made of the covers' trees alone
+    loose = g.edge_count() - sum(len(c.edges) for c in covers)
+    if loose:
+        raise InvariantError(
+            f"a non-tree component survived the basic steps: {loose} edges lie in no cover"
+        )
+    d = KuroshDecomposition(tuple(factors), tuple(free_basis(g, g.basepoint, kept)))
     if not all(contains(sg, w) for w in _emitted_words(d, pair)):
         raise InvariantError("an emitted generator fell outside the subgroup")
     return d

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from .words import Letter, Word, letter_key
 
@@ -63,9 +63,6 @@ class LabeledGraph:
         out_u.append(e)
         out_v.append(e + 1)
         return e
-
-    def set_basepoint(self, v: int) -> None:
-        self._base = self.find(v)
 
     def copy(self) -> "LabeledGraph":
         g = LabeledGraph()
@@ -135,9 +132,6 @@ class LabeledGraph:
     def positive_half(self, e: int) -> int:
         """The half of e's geometric edge whose label has positive sign."""
         return e if self._elabel[e].sign > 0 else e ^ 1
-
-    def half_edges(self, v: int) -> list[int]:
-        return list(self._out[self.find(v)])
 
     def degree(self, v: int) -> int:
         return len(self._out[self.find(v)])
@@ -239,17 +233,6 @@ class LabeledGraph:
                     break
 
 
-class Trace(NamedTuple):
-    """Result of reading a word from a vertex.
-
-    Exactly one field is set: ``vertex`` when the whole word was readable,
-    ``stuck_at`` with the index of the first unreadable letter otherwise.
-    """
-
-    vertex: int | None
-    stuck_at: int | None
-
-
 @dataclass(frozen=True)
 class MonoComponent:
     """Maximal connected one-color subgraph with at least one edge."""
@@ -335,18 +318,19 @@ def cut_hairs(g: LabeledGraph) -> LabeledGraph:
     return h
 
 
-def trace(g: LabeledGraph, v: int, w: Word) -> Trace:
-    """Read ``w`` from ``v`` along uniquely labelled edges."""
+def trace(g: LabeledGraph, v: int, w: Word) -> int | None:
+    """The vertex reached by reading ``w`` from ``v`` along uniquely
+    labelled edges, or None when some letter cannot be read."""
     out, label, einit = g._out, g._elabel, g._einit
     cur = g.find(v)
-    for i, letter in enumerate(w):
+    for letter in w:
         for e in out[cur]:
             if label[e] == letter:
                 cur = einit[e ^ 1]
                 break
         else:
-            return Trace(None, i)
-    return Trace(cur, None)
+            return None
+    return cur
 
 
 def components(g: LabeledGraph) -> list[MonoComponent]:
@@ -386,8 +370,10 @@ def components(g: LabeledGraph) -> list[MonoComponent]:
     return comps
 
 
-def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
-    """BFS spanning tree, expanding edges in letter order for determinism."""
+def spanning_tree(g: LabeledGraph, root: int, edges: Collection[int] | None) -> SpanningTree:
+    """BFS spanning tree over the geometric edges with direct ids in
+    ``edges`` (all of them for None), expanding edges in letter order for
+    determinism."""
     out, label, einit = g._out, g._elabel, g._einit
     root = g.find(root)
     parent: dict[int, tuple[int, Letter]] = {}
@@ -397,7 +383,8 @@ def spanning_tree(g: LabeledGraph, root: int) -> SpanningTree:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for e in sorted(out[v], key=lambda e: (letter_key(label[e]), e)):
+        hs = out[v] if edges is None else [e for e in out[v] if e & ~1 in edges]
+        for e in sorted(hs, key=lambda e: (letter_key(label[e]), e)):
             w = einit[e ^ 1]
             if w in seen:
                 continue

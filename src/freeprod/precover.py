@@ -197,7 +197,6 @@ class SubgroupGraph:
     graph: LabeledGraph
     pair: FactorPair
     generators: tuple[Word, ...]
-    total_length: int
     precover_ok: bool
     reduced_ok: bool
     reason: str | None = None   # why the first failed check (precover, reduced) failed
@@ -224,7 +223,6 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
         graph=g,
         pair=pair,
         generators=gens,
-        total_length=sum(len(w) for w in gens),
         precover_ok=precover_ok,
         reduced_ok=verdict.ok,
         reason=verdict.reason,
@@ -276,8 +274,7 @@ def contains(sg: SubgroupGraph, w: Word) -> bool:
     if not nw:
         return True
     path = normal_to_word(nw, sg.pair)
-    t = trace(sg.graph, sg.graph.basepoint, path)
-    return t.vertex == sg.graph.basepoint
+    return trace(sg.graph, sg.graph.basepoint, path) == sg.graph.basepoint
 
 
 def index_if_finite(sg: SubgroupGraph) -> int | None:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from freeprod import FactorPair
 from freeprod.lgraph import LabeledGraph
-from freeprod.words import Letter, NormalWord, Word, inverse_word, normalize
+from freeprod.words import Letter, NormalWord, Word, free_reduce, inverse_word, normalize
 
 Syllables = tuple[tuple[int, int], ...]
 
@@ -265,7 +265,7 @@ def naive_random_fold(g, rng: random.Random):
         h.add_vertex()
     for u, l, w in arrows:
         h.add_edge(classes[find(u)], classes[find(w)], l)
-    h.set_basepoint(classes[find(g.basepoint)])
+    set_basepoint(h, classes[find(g.basepoint)])
     return h
 
 
@@ -324,7 +324,7 @@ def reference_components(g):
     colours in one pass, then walk each factor's components separately."""
     from freeprod.lgraph import MonoComponent
 
-    colours = {v: {g.label(e).factor for e in g.half_edges(v)} for v in g.vertices()}
+    colours = {v: {g.label(e).factor for e in half_edges(g, v)} for v in g.vertices()}
     comps = []
     for factor in (1, 2):
         seen = set()
@@ -334,7 +334,7 @@ def reference_components(g):
             verts, geo, stack = {start}, set(), [start]
             while stack:
                 v = stack.pop()
-                for e in g.half_edges(v):
+                for e in half_edges(g, v):
                     if g.label(e).factor != factor:
                         continue
                     geo.add(e & ~1)
@@ -361,7 +361,7 @@ def reference_stabilizer(g, v, group, comp=None):
         raise ValueError(f"vertex {v} is not in the cover")
     nletters = 2 * len(group.generators)
     for u in sorted(verts):
-        live = [e for e in g.half_edges(u) if (e & ~1) in scope]
+        live = [e for e in half_edges(g, u) if (e & ~1) in scope]
         if len(live) != nletters or len({g.label(e) for e in live}) != nletters:
             raise ValueError(f"cover is not saturated at vertex {u}")
 
@@ -372,7 +372,7 @@ def reference_stabilizer(g, v, group, comp=None):
     elem, tree, queue = {v: group.identity}, set(), [v]
     for u in queue:
         out = sorted(
-            (e for e in g.half_edges(u) if (e & ~1) in scope),
+            (e for e in half_edges(g, u) if (e & ~1) in scope),
             key=lambda e: (g.label(e).factor, g.label(e).gen, -g.label(e).sign, e),
         )
         for e in out:
@@ -444,7 +444,7 @@ def cayley_graph(group, factor: int = 1) -> LabeledGraph:
 
     g = LabeledGraph()
     _append_cayley(g, group, factor)
-    g.set_basepoint(group.identity)
+    set_basepoint(g, group.identity)
     return g
 
 
@@ -459,7 +459,7 @@ def coset_graph(group, sub, factor: int = 1) -> LabeledGraph:
     g = LabeledGraph()
     for _ in reps:
         g.add_vertex()
-    g.set_basepoint(coset_of[group.identity])
+    set_basepoint(g, coset_of[group.identity])
     for c, r in enumerate(reps):
         for gi, (_, img) in enumerate(group.generators):
             g.add_edge(c, coset_of[group.mult(r, img)], Letter(factor, gi, 1))
@@ -579,7 +579,7 @@ def reference_reidemeister_schreier(group, sub, factor: int = 1):
     if sub == {group.identity}:
         return Presentation((), (), {})
     cg = coset_graph(group, sub, factor=factor)
-    tree = spanning_tree(cg, cg.basepoint)
+    tree = spanning_tree(cg, cg.basepoint, None)
     sym_of, aliases, order = {}, {}, []
     for e in sorted(cg.edges()):
         if e in tree.geo_edges:
@@ -796,11 +796,94 @@ def reference_index_if_finite(sg):
     return sg.graph.vertex_count()
 
 
+def set_basepoint(g: LabeledGraph, v: int) -> None:
+    """Move the basepoint of a hand-built graph to the vertex ``v``."""
+    g._base = g.find(v)
+
+
+def half_edges(g: LabeledGraph, v: int) -> list[int]:
+    """The half-edges leaving the vertex ``v``, in adjacency order."""
+    return list(g._out[g.find(v)])
+
+
+def stuck_at(g: LabeledGraph, v: int, w: Word) -> int | None:
+    """The index of the first letter of ``w`` that cannot be read from
+    ``v``, or None when the whole word reads."""
+    cur = g.find(v)
+    for i, letter in enumerate(w):
+        e = g.out_edge(cur, letter)
+        if e is None:
+            return i
+        cur = g.term(e)
+    return None
+
+
+def rank_by_count(sg) -> int:
+    """The free rank of Delta by counting: each cover gives up its
+    |E_c| - |V_c| + 1 non-tree edges, the rest of the graph keeps all."""
+    from freeprod.kurosh import mcc
+
+    g = sg.graph
+    lost = sum(len(c.edges) - len(c.vertices) + 1 for c in mcc(g, sg.pair))
+    return g.edge_count() - g.vertex_count() + 1 - lost
+
+
+def reference_decompose(sg):
+    """Kurosh factors and free basis as first read: each basic step deletes
+    its cover's non-tree edges from a working copy of the graph, a scan
+    checks that every one-colour component of what remains (Delta) is a
+    tree, and the basis is read off a spanning tree of Delta.  Returns the
+    factors as (conjugator, factor, subgroup, basepoint) tuples, the basis
+    and Delta."""
+    from freeprod.fingroup import _schreier_walk
+    from freeprod.kurosh import mcc
+    from freeprod.lgraph import components, spanning_tree
+
+    pair = sg.pair
+    g = sg.graph.copy()
+    tree = spanning_tree(g, g.basepoint, None)
+    covers = mcc(g, pair)
+    at: dict[int, list[int]] = {}
+    for i in sorted(range(len(covers)), key=lambda i: covers[i].factor):
+        for u in covers[i].vertices:
+            at.setdefault(u, []).append(i)
+    unread = set(range(len(covers)))
+    factors = []
+    for v in tree.order:
+        for i in at.get(v, ()):
+            if i not in unread:
+                continue
+            unread.remove(i)
+            comp = covers[i]
+            stab, kept = _schreier_walk(g, v, pair.factor(comp.factor), comp)
+            for e in comp.edges:
+                if e not in kept:
+                    g.remove_edge(e)
+            if len(stab) > 1:
+                factors.append((tree.word_to(v), comp.factor, stab, v))
+    assert not unread, "a cover is not reachable from the basepoint"
+    for comp in components(g):
+        assert len(comp.edges) == len(comp.vertices) - 1, "a non-tree component survived"
+    delta_tree = spanning_tree(g, g.basepoint, None)
+    basis = []
+    for e in g.edges():
+        if e in delta_tree.geo_edges:
+            continue
+        h = g.positive_half(e)
+        w = (
+            delta_tree.word_to(g.init(h))
+            + (g.label(h),)
+            + inverse_word(delta_tree.word_to(g.term(h)))
+        )
+        basis.append(free_reduce(w))
+    return factors, basis, g
+
+
 def classify_vertices(g: LabeledGraph) -> dict[int, str]:
     """Tag every live vertex as VM1, VM2, VB or isolated."""
     out: dict[int, str] = {}
     for v in g.vertices():
-        colors = {g.label(e).factor for e in g.half_edges(v)}
+        colors = {g.label(e).factor for e in half_edges(g, v)}
         if not colors:
             out[v] = "isolated"
         elif len(colors) == 2:
@@ -823,7 +906,7 @@ def subgraph(
         h.add_vertex()
     for e in sorted(set(e & ~1 for e in edges)):
         h.add_edge(vmap[g.init(e)], vmap[g.term(e)], g.label(e))
-    h.set_basepoint(vmap[g.find(basepoint)])
+    set_basepoint(h, vmap[g.find(basepoint)])
     return h
 
 

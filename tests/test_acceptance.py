@@ -32,7 +32,6 @@ from freeprod.fingroup import (
     from_table,
     reidemeister_schreier,
 )
-from freeprod.kurosh import free_basis
 from freeprod.lgraph import LabeledGraph, fold_all, pointed_iso
 from freeprod.words import Letter, NormalWord, inverse_word, normal_to_word, normalize
 
@@ -48,7 +47,9 @@ from helpers import (
     random_labelled_graph,
     random_subgroups,
     random_word,
+    rank_by_count,
     reference_certify,
+    reference_decompose,
     subgraph,
 )
 
@@ -399,6 +400,8 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     # union-find walks: edge endpoints are kept at their roots, so only
     # vertex ids handed in from outside (basepoints, walk roots) need one
     monkeypatch.setattr(LabeledGraph, "find", counted("find", LabeledGraph.find))
+    for name in ("copy", "remove_edge"):
+        monkeypatch.setattr(LabeledGraph, name, counted(name, getattr(LabeledGraph, name)))
     prune = _counted_within(freeprod.precover, "prune_redundant", counts, monkeypatch)
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
@@ -416,7 +419,12 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     assert build["_covers"] <= 2 * comps, (
         f"{build['_covers']} cover tests per build for {comps} components"
     )
-    assert counts["components"] <= 2, f"{counts['components']} component scans per decompose"
+    # decompose only reads the certified graph: mcc's scan is its one scan,
+    # and Delta is the set of the covers' tree edges, not a working copy
+    assert counts["components"] <= 1, f"{counts['components']} component scans per decompose"
+    assert counts["copy"] == counts["remove_edge"] == 0, (
+        f"decompose made {counts['copy']} graph copies and {counts['remove_edge']} edge deletions"
+    )
     # decompose's tree from the basepoint and free_basis's; a basic step
     # keeps the tree of the cover test's walk
     assert counts["spanning_tree"] == 2, (
@@ -436,7 +444,8 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
     summary = (
         f"components {build['components']} per build, "
         f"{build['_covers']} cover tests per build for {comps} components, "
-        f"{counts['components']} per decompose; {counts['spanning_tree']} spanning trees "
+        f"{counts['components']} per decompose with {counts['copy']} copies and "
+        f"{counts['remove_edge']} edge deletions; {counts['spanning_tree']} spanning trees "
         f"for {counts['basic_step']} basic steps; {counts['_letters_at']} letter checks "
         f"for {cover_vertices} cover vertices; {counts['find']} finds per decompose for "
         f"{verts} vertices"
@@ -599,8 +608,8 @@ def test_acceptance_property_suites(z2z3, z4z6):
         gens = random_subgroups(rng, pair, 1, max_len=6)[0]
         sg = subgroup_graph(gens, pair)
         d = decompose(sg)
-        assert d.free_rank == d.delta.edge_count() - d.delta.vertex_count() + 1
-        assert free_basis(d.delta, d.delta.basepoint) == list(d.free_basis)
+        assert d.free_rank == rank_by_count(sg)
+        assert list(d.free_basis) == reference_decompose(sg)[1]
     counts["rank"] = n_rank
 
     total = sum(counts.values())

@@ -331,6 +331,33 @@ def test_factor_validation_errors_name_their_entry(tmp_path, capsys, base, old, 
     assert err.startswith(f"error: {where}: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "base, old, new, where, key",
+    [
+        (PSL2_FILE, "generators = a\n", "generators = a\ngenerator = q\n", "line 4, column 1", "generator"),
+        (PSL2_FILE, "generators = a\n", "generators = a\nrelators = a^2\n", "line 4, column 1", "relators"),
+        (KLEIN_FILE, "c:2\n", "c:2\ncap = 64\n", "line 4, column 1", "cap"),
+        (PSL2_FILE, "type = cyclic 3\ngenerators = b\n",
+         "type = presentation\ngenerators = b\nrelator = b^3\n", "line 8, column 1", "relator"),
+        (PSL2_FILE, "b a b a b a\n", "b a b a b a\n  foo = 1\n", "line 11, column 3", "foo"),
+        (PSL2_FILE, "b a b a b a\n", "b a b a b a\n\n[options]\nbar = 2\n", "line 13, column 1", "bar"),
+    ],
+    ids=["cyclic", "cyclic-relators", "table", "presentation", "subgroup", "options"],
+)
+def test_keys_a_section_does_not_read_are_refused(
+    tmp_path, capsys, monkeypatch, base, old, new, where, key
+):
+    # a misspelt key is an input error at its line and column, found
+    # before any factor is built: 'relator = b^3' used to leave an
+    # unrelated presentation that ran into the enumeration cap
+    monkeypatch.setattr(freeprod.cli, "_build_factor", lambda *a: pytest.fail("factor built"))
+    p = tmp_path / "keys.fp"
+    p.write_text(base.replace(old, new))
+    code, out, err = _run(capsys, "build", p)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: unknown key {key!r} in ["), err
+
+
 @pytest.mark.parametrize("entry", ["\u0660", "1_0", "+1", "-1", "\uff11"])
 def test_table_entries_are_ascii_digits(tmp_path, capsys, entry):
     # a table entry is ASCII digits: int() would read an Arabic-Indic zero

@@ -251,7 +251,7 @@ def test_cayley_graph_is_saturated_and_based():
                     val = group.mult(val, img if l.sign > 0 else group.inv(img))
                 if val == group.identity:
                     for v in g.vertices():
-                        assert trace(g, v, word).vertex == v
+                        assert trace(g, v, word) == v
 
 
 def test_coset_graph_examples():

@@ -25,20 +25,25 @@ from freeprod import (
     verify,
 )
 from freeprod.kurosh import _emitted_words, basic_step, free_basis, mcc
-from freeprod.lgraph import LabeledGraph, bouquet, fold_all, pointed_iso, spanning_tree, trace
+from freeprod.lgraph import LabeledGraph, bouquet, dump, fold_all, pointed_iso, spanning_tree, trace
 from freeprod.precover import SubgroupGraph
 from freeprod.words import Letter, normalize
 
 from helpers import (
     cayley_graph,
     equal_in_G,
+    half_edges,
     random_subgroups,
+    rank_by_count,
     reference_components,
     reference_cover_defect,
+    reference_decompose,
     subgraph,
     syllable_length,
 )
 
+X = Letter(1, 0, 1)
+Y = Letter(2, 0, 1)
 
 def test_mcc_trivial(z2z3):
     sg = subgroup_graph([], z2z3)
@@ -61,21 +66,29 @@ def test_mcc_is_the_cover_filter(z2z3, z4z6):
     assert kept and dropped
 
 
-def test_mcc_ignores_trees(z2z3, psl2_sg):
-    d = decompose(psl2_sg)
-    assert mcc(d.delta, z2z3) == []
+def test_mcc_ignores_trees(z4z6):
+    # a path x y x^2 y^-1: every one-colour component is a tree, so none
+    # is a cover
+    g = LabeledGraph()
+    verts = [g.add_vertex() for _ in range(6)]
+    letters = [X, Y, X, X, Y.inverse()]
+    for k, letter in enumerate(letters):
+        g.add_edge(verts[k], verts[k + 1], letter)
+    comps = components(g)
+    assert [len(c.edges) for c in comps] == [1, 1, 2, 1]
+    assert mcc(g, z4z6) == []
 
 
 def test_basic_step_component_at_basepoint(z2z3, psl2_sg):
-    g = psl2_sg.graph.copy()
+    g = psl2_sg.graph
+    before = dump(g, z2z3)
     comp = next(c for c in mcc(g, z2z3) if g.basepoint in c.vertices)
-    edges = g.edge_count()
-    stab = basic_step(g, comp, g.basepoint, z2z3)
+    stab, tree = basic_step(g, comp, g.basepoint, z2z3)
     # the basepoint component of the worked example is a full 2-cycle:
-    # trivial loop subgroup, so the step leaves only the spanning tree
+    # trivial loop subgroup, so only its spanning tree is kept
     assert stab == frozenset({z2z3.factor(comp.factor).identity})
-    assert g.edge_count() == edges - (len(comp.edges) - (len(comp.vertices) - 1))
-    assert psl2_sg.graph.edge_count() == edges
+    assert tree < set(comp.edges) and len(tree) == len(comp.vertices) - 1
+    assert dump(g, z2z3) == before
 
 
 def test_basic_step_extracts_conjugated_factor(z2z3, psl2_sg):
@@ -90,7 +103,7 @@ def test_basic_step_extracts_conjugated_factor(z2z3, psl2_sg):
 
 
 def test_basic_step_validates_inputs(z2z3, psl2_sg):
-    g = psl2_sg.graph.copy()
+    g = psl2_sg.graph
     order = mcc(g, z2z3)
     comp = order[0]
     outside = next(v for v in g.vertices() if v not in comp.vertices)
@@ -136,24 +149,30 @@ def test_free_basis_tree_and_loop(z2z3):
     g = bouquet([parse_word("a b", z2z3)], z2z3)
     g = fold_all(g)
     # both monochromatic components are single edges, hence trees
-    basis = free_basis(g, g.basepoint)
+    basis = free_basis(g, g.basepoint, set(g.edges()))
     assert len(basis) == 1 and len(basis[0]) == 2
+    # without the a-edge the b-edge is a tree on its own
+    b_edge = next(e for e in g.edges() if g.label(e).factor == 2)
+    assert free_basis(g, g.basepoint, {b_edge}) == []
 
     tree = bouquet([], z2z3)
-    assert free_basis(tree, tree.basepoint) == []
+    assert free_basis(tree, tree.basepoint, set()) == []
 
 
-def test_free_basis_rejects_nontree_components(z2z3, psl2_sg):
-    with pytest.raises(ValueError):
-        free_basis(psl2_sg.graph, psl2_sg.graph.basepoint)
+def test_decompose_rejects_an_edge_outside_every_cover(z4z6):
+    # a lone x-edge is a tree but no cover: no basic step reads it, so it
+    # is no part of Delta and the edge count refuses the graph
+    g = LabeledGraph()
+    g.add_edge(g.add_vertex(), g.add_vertex(), X)
+    with pytest.raises(InvariantError, match="non-tree"):
+        decompose(SubgroupGraph(g, z4z6, (), precover_ok=False, reduced_ok=False))
 
 
 def test_free_basis_psl2_delta(z2z3, psl2_sg):
+    # Delta replaces each cover of the worked example by its tree
     d = decompose(psl2_sg)
-    assert len(free_basis(d.delta, d.delta.basepoint)) == 1
-    v = d.delta.vertex_count()
-    e = d.delta.edge_count()
-    assert d.free_rank == e - v + 1
+    assert d.free_rank == rank_by_count(psl2_sg) == 1
+    assert list(d.free_basis) == reference_decompose(psl2_sg)[1]
 
 
 def test_presentation_trivial(z2z3):
@@ -200,9 +219,7 @@ def test_factor_count_and_rank_formula(z2z3, z4z6):
             sg = subgroup_graph(gens, pair)
             d = decompose(sg)
             assert len(d.factors) <= len(mcc(sg.graph, pair))
-            v = d.delta.vertex_count()
-            e = d.delta.edge_count()
-            assert d.free_rank == e - v + 1
+            assert d.free_rank == rank_by_count(sg)
             assert verify(d, sg).ok
 
 
@@ -233,17 +250,18 @@ def test_basis_words_are_normal_loops(z2z3, z4z6):
             d = decompose(sg)
             for w in d.free_basis:
                 assert syllable_length(normalize(w, pair)) > 0
-                # each maximal one-color run of the loop is an unclosed path
-                bp = d.delta.basepoint
+                # each maximal one-color run of the loop is an unclosed
+                # path in the certified graph
+                bp = sg.graph.basepoint
                 cur = bp
                 k = 0
                 while k < len(w):
                     j = k
                     while j < len(w) and w[j].factor == w[k].factor:
                         j += 1
-                    t = trace(d.delta, cur, w[k:j])
-                    assert t.vertex is not None and t.vertex != cur
-                    cur = t.vertex
+                    t = trace(sg.graph, cur, w[k:j])
+                    assert t is not None and t != cur
+                    cur = t
                     k = j
                 assert cur == bp
 
@@ -291,12 +309,29 @@ def test_factors_are_listed_in_bfs_order(case):
     pair, gens = case
     sg = subgroup_graph(gens, pair)
     d = decompose(sg)
-    tree = spanning_tree(sg.graph, sg.graph.basepoint)
+    tree = spanning_tree(sg.graph, sg.graph.basepoint, None)
     rank = {v: i for i, v in enumerate(tree.order)}
     keys = [(rank[f.basepoint], f.factor) for f in d.factors]
     assert keys == sorted(set(keys))
     lengths = [len(f.conjugator) for f in d.factors]
     assert lengths == sorted(lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subgroups())
+def test_decompose_matches_the_working_copy_reading(case):
+    # reading Delta as the covers' kept tree edges gives the factors and
+    # the free basis of deleting every other cover edge from a copy, and
+    # the certified graph is left as it was
+    pair, gens = case
+    sg = subgroup_graph(gens, pair)
+    before = dump(sg.graph, pair)
+    d = decompose(sg)
+    assert dump(sg.graph, pair) == before
+    factors, basis, delta = reference_decompose(sg)
+    assert [(f.conjugator, f.factor, f.subgroup, f.basepoint) for f in d.factors] == factors
+    assert list(d.free_basis) == basis
+    assert d.free_rank == delta.edge_count() - delta.vertex_count() + 1 == rank_by_count(sg)
 
 
 def test_factor_at_the_basepoint_is_listed_first(z2z3):
@@ -320,7 +355,7 @@ def _distances(g, source):
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for e in g.half_edges(v):
+        for e in half_edges(g, v):
             w = g.term(e)
             if w not in dist:
                 dist[w] = dist[v] + 1
@@ -339,7 +374,7 @@ def _check_conjugators(sg):
         comp = next(
             c for c in components(g) if c.factor == f.factor and f.basepoint in c.vertices
         )
-        assert trace(g, bp, f.conjugator).vertex == f.basepoint
+        assert trace(g, bp, f.conjugator) == f.basepoint
         assert len(f.conjugator) == min(dist[v] for v in comp.vertices)
     assert verify(d, sg).ok
 
@@ -386,7 +421,7 @@ def test_decompose_rejects_a_non_cover(z4z6):
     verts = [g.add_vertex() for _ in range(3)]
     for k, v in enumerate(verts):
         g.add_edge(v, verts[(k + 1) % 3], Letter(1, 0, 1))
-    sg = SubgroupGraph(g, z4z6, (), 0, precover_ok=False, reduced_ok=False)
+    sg = SubgroupGraph(g, z4z6, (), precover_ok=False, reduced_ok=False)
     with pytest.raises(InvariantError, match="non-tree"):
         decompose(sg)
 
@@ -402,7 +437,7 @@ vs = [g.add_vertex() for _ in range(3)]
 for k in range(3):
     g.add_edge(vs[k], vs[(k + 1) % 3], Letter(1, 0, 1))
 try:
-    decompose(SubgroupGraph(g, pair, (), 0, False, False))
+    decompose(SubgroupGraph(g, pair, (), False, False))
 except InvariantError:
     print("InvariantError")
 """

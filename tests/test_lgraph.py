@@ -24,7 +24,7 @@ from freeprod.lgraph import (
 from freeprod.precover import prune_redundant, saturate
 from freeprod.words import Letter
 
-from helpers import cayley_graph, classify_vertices, scan
+from helpers import cayley_graph, classify_vertices, half_edges, scan, set_basepoint, stuck_at
 
 A = Letter(1, 0, 1)
 B = Letter(2, 0, 1)
@@ -99,25 +99,25 @@ def test_cut_hairs_path_collapses_to_basepoint():
 
 def test_trace_empty_word():
     g = bouquet([(A,)], None)
-    assert trace(g, g.basepoint, ()).vertex == g.basepoint
+    assert trace(g, g.basepoint, ()) == g.basepoint
 
 
 def test_trace_relator_loops_on_cayley():
     g = cayley_graph(make_cyclic(3, "b"), factor=2)
     for v in g.vertices():
-        assert trace(g, v, (B, B, B)).vertex == v
+        assert trace(g, v, (B, B, B)) == v
 
 
 def test_trace_on_subgroup_graph(z2z3, psl2_sg):
     w = parse_word("a b a^-1 b^-1", z2z3)
     bp = psl2_sg.graph.basepoint
-    assert trace(psl2_sg.graph, bp, w).vertex == bp
+    assert trace(psl2_sg.graph, bp, w) == bp
 
 
 def test_trace_stuck_position():
     g = bouquet([(A,)], None)
-    t = trace(g, g.basepoint, (A, B, A))
-    assert t.vertex is None and t.stuck_at == 1
+    assert trace(g, g.basepoint, (A, B, A)) is None
+    assert stuck_at(g, g.basepoint, (A, B, A)) == 1
 
 
 def test_components_two_letter_loop(z2z3):
@@ -148,16 +148,22 @@ def test_components_isolated_vertex():
 
 def test_spanning_tree_shapes():
     g = bouquet([], None)
-    t = spanning_tree(g, g.basepoint)
+    t = spanning_tree(g, g.basepoint, None)
     assert t.geo_edges == frozenset() and t.order == [g.basepoint]
 
     g3 = cayley_graph(make_cyclic(3, "b"), factor=2)
-    t3 = spanning_tree(g3, 0)
+    t3 = spanning_tree(g3, 0, None)
     assert len(t3.geo_edges) == 2
     assert len([e for e in g3.edges() if e not in t3.geo_edges]) == 1
 
     g6 = cayley_graph(make_cyclic(6, "y"), factor=2)
-    assert len(spanning_tree(g6, 0).geo_edges) == 5
+    assert len(spanning_tree(g6, 0, None).geo_edges) == 5
+    # an edge set confines the tree to the edges it names
+    assert spanning_tree(g3, 0, t3.geo_edges).geo_edges == t3.geo_edges
+    path = spanning_tree(g6, 0, set(g6.edges()) - {g6.out_edge(0, B) & ~1})
+    assert len(path.geo_edges) == 5 and len(path.word_to(1)) == 5
+    alone = spanning_tree(g6, 0, set())
+    assert alone.geo_edges == frozenset() and alone.order == [0]
 
 
 def test_pointed_iso_basic():
@@ -276,7 +282,7 @@ def test_removed_elements_keep_no_state():
     assert g.edges() == [e] and g.edge_count() == 1
     assert (g.init(f), g.term(f), g.init(f ^ 1)) == (-1, -1, -1)
     g.remove_edge(f ^ 1)   # deleting it again changes nothing
-    assert g.half_edges(v) == [e ^ 1]
+    assert half_edges(g, v) == [e ^ 1]
     g.remove_vertex(w)
     assert g.vertices() == [u, v] and g.vertex_count() == 2
     with pytest.raises(KeyError):
@@ -287,13 +293,13 @@ def test_removed_elements_keep_no_state():
 
 
 def test_tree_words_survive_deleting_tree_edges():
-    # the tree keeps its own words: deleting the edges it was built from,
-    # as decompose's basic steps do, changes no word
+    # the tree keeps its own words: deleting the edges it was built from
+    # changes no word
     g = cayley_graph(make_cyclic(6, "y"), factor=2)
-    tree = spanning_tree(g, 0)
+    tree = spanning_tree(g, 0, None)
     words = {v: tree.word_to(v) for v in tree.order}
     for v, word in words.items():
-        assert trace(g, 0, word).vertex == v
+        assert trace(g, 0, word) == v
     assert len(words[3]) == 3
     for e in g.edges():
         g.remove_edge(e)
@@ -331,7 +337,12 @@ def test_live_edges_start_at_roots_through_the_pipeline(data):
     for stage in (fold_all, cut_hairs, lambda g: saturate(g, pair), prune):
         g = stage(g)
         _assert_endpoints_at_roots(g)
-    _assert_endpoints_at_roots(decompose(subgroup_graph(gens, pair)).delta)
+    # decompose only reads the certified graph
+    sg = subgroup_graph(gens, pair)
+    before = (dump(sg.graph, pair), sg.graph.vertices(), sg.graph.basepoint)
+    decompose(sg)
+    assert (dump(sg.graph, pair), sg.graph.vertices(), sg.graph.basepoint) == before
+    _assert_endpoints_at_roots(sg.graph)
 
 
 def test_pointed_iso_is_equivalence():
@@ -350,7 +361,7 @@ def test_pointed_iso_is_equivalence():
         edges = sorted(g.edges(), key=lambda e: vmap[g.init(e)])
         for e in edges:
             h.add_edge(pos[vmap[g.init(e)]], pos[vmap[g.term(e)]], g.label(e))
-        h.set_basepoint(pos[vmap[g.basepoint]])
+        set_basepoint(h, pos[vmap[g.basepoint]])
         assert pointed_iso(g, g.basepoint, g, g.basepoint)
         assert pointed_iso(g, g.basepoint, h, h.basepoint)
         assert pointed_iso(h, h.basepoint, g, g.basepoint)

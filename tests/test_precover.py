@@ -33,6 +33,7 @@ from helpers import (
     cayley_graph,
     certify,
     coset_graph,
+    half_edges,
     oracle_membership,
     random_subgroups,
     reference_components,
@@ -43,6 +44,7 @@ from helpers import (
     reference_saturate,
     reference_stabilizer,
     scan,
+    set_basepoint,
     subgraph,
 )
 
@@ -109,12 +111,12 @@ def test_prune_is_fixpoint_on_reduced(z2z3, psl2_sg):
 def test_prune_depends_on_basepoint(z4z6):
     g, verts = _gallery_gamma2(z4z6)
     # basepoint at the bichromatic vertex: the y-component is redundant
-    g.set_basepoint(verts[0])
+    set_basepoint(g, verts[0])
     h = prune_redundant(g, verts[0], z4z6, scan(g, z4z6))
     assert h.vertex_count() == 1 and h.edge_count() == 1
     # basepoint at a monochromatic y-vertex: nothing to prune
     g2, verts2 = _gallery_gamma2(z4z6)
-    g2.set_basepoint(verts2[3])
+    set_basepoint(g2, verts2[3])
     h2 = prune_redundant(g2, verts2[3], z4z6, scan(g2, z4z6))
     assert pointed_iso(h2, h2.basepoint, g2, g2.basepoint)
 
@@ -130,7 +132,7 @@ def test_subgroup_graph_psl2_shape(z2z3, psl2_sg):
     assert psl2_sg.edge_count == 11
     assert len(components(psl2_sg.graph)) == 5
     assert psl2_sg.precover_ok and psl2_sg.reduced_ok
-    assert psl2_sg.total_length == 10
+    assert sum(map(len, psl2_sg.generators)) == 10
 
 
 def test_subgroup_graph_single_generator(z2z3):
@@ -405,7 +407,7 @@ def test_one_pass_readers_agree_with_references(data):
         g.remove_edge(e)
         g.remove_edge(e ^ 1)
     assert dump(g, pair) == before
-    halves = sorted(e for v in g.vertices() for e in g.half_edges(v))
+    halves = sorted(e for v in g.vertices() for e in half_edges(g, v))
     assert halves == sorted(h for e in g.edges() for h in (e, e ^ 1))
 
     comps = components(g)
@@ -420,9 +422,7 @@ def test_one_pass_readers_agree_with_references(data):
             stab, tree = reference_stabilizer(g, v, group, comp)
             assert _schreier_walk(g, v, group, comp)[0] == stab
             if why is None:
-                h = g.copy()
-                assert basic_step(h, comp, v, pair) == stab
-                assert set(h.edges()) & set(comp.edges) == tree
+                assert basic_step(g, comp, v, pair) == (stab, tree)
 
 
 _SATURATE_PAIRS = {
@@ -475,7 +475,7 @@ def _hang_cayley_graphs(data, g, pair):
     for _ in range(data.draw(st.integers(0, 6))):
         v = data.draw(st.sampled_from(g.vertices()))
         factor = data.draw(st.sampled_from((1, 2)))
-        if any(g.label(e).factor == factor for e in g.half_edges(v)):
+        if any(g.label(e).factor == factor for e in half_edges(g, v)):
             continue
         group = pair.factor(factor)
         g._union(v, _append_cayley(g, group, factor) + group.identity)
