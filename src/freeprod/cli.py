@@ -63,14 +63,13 @@ EXIT_VERIFY = 4
 
 
 class ProblemFileError(ValueError):
+    """An input error, its message prefixed with the line and column."""
+
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        where = ""
         if line is not None:
             where = f"line {line}" + (f", column {column}" if column is not None else "")
             message = f"{where}: {message}"
         super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 @dataclass
@@ -467,6 +466,9 @@ def main(argv=None) -> int:
     except (ProblemFileError, WordSyntaxError, GroupValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantError as exc:   # a bug, not a non-member
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

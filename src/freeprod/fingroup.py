@@ -472,7 +472,6 @@ def _schreier_walk(
     u -x-> w.  A component is connected, so the pass reaches all of it;
     it must be saturated.  ``kurosh.basic_step`` returns both.
     """
-    v = c.find(v)
     if v not in within.vertices:
         raise ValueError(f"vertex {v} is not in the cover")
     nletters = 2 * len(group.generators)

@@ -8,9 +8,13 @@ across the whole pipeline, but a removed element keeps no state: a vertex
 exists exactly when it has an adjacency list (merging or deleting it drops
 the list), and a deleted half-edge leaves its list and has no endpoint
 (``init`` reads -1).  Each union rewrites the endpoint of every half-edge it
-moves to the survivor, so a live half-edge's recorded endpoint is always a
-root and reading an edge never walks the union-find; ``find`` only
-resolves vertex ids handed in from outside.
+moves to the survivor, and moves the basepoint with it, so every vertex id
+the graph hands out is live.  Every method takes live vertex ids only: a
+merged id is dead like a removed one and raises ``KeyError``.  ``find``
+serves fold's queue alone, where a later merge can kill a queued id.
+
+The build edits one graph: ``fold_all``, ``cut_hairs`` and the precover
+stages change the graph they are given and return it.
 """
 
 from __future__ import annotations
@@ -53,9 +57,8 @@ class LabeledGraph:
         """Add a geometric edge u -> v with the given letter.
 
         Returns the id of the direct half-edge; its reverse is id+1.  A
-        removed endpoint has no list: that is a KeyError, before any change.
+        dead endpoint has no list: that is a KeyError, before any change.
         """
-        u, v = self.find(u), self.find(v)
         out_u, out_v = self._out[u], self._out[v]
         e = len(self._einit)
         self._einit.extend((u, v))
@@ -77,8 +80,8 @@ class LabeledGraph:
     # -- vertex union-find ------------------------------------------------
 
     def find(self, v: int) -> int:
-        """The live vertex a vertex id was merged into.  Only ids handed in
-        from outside need it: edge endpoints are kept at their roots."""
+        """The live vertex a vertex id was merged into.  Only fold's queue
+        needs it: edge endpoints and the basepoint are kept at their roots."""
         root = v
         while self._parent[root] != root:
             root = self._parent[root]
@@ -87,19 +90,23 @@ class LabeledGraph:
         return root
 
     def _union(self, a: int, b: int) -> int:
-        a, b = self.find(a), self.find(b)
+        """Merge two live vertices and return the survivor; a dead one is a
+        KeyError, before any change."""
+        out_a, out_b = self._out[a], self._out[b]
         if a == b:
             return a
         # survivor: larger class, ties to the smaller id (deterministic)
         if (self._csize[a], -a) < (self._csize[b], -b):
-            a, b = b, a
+            a, b, out_a, out_b = b, a, out_b, out_a
         self._parent[b] = a
         self._csize[a] += self._csize[b]
-        moved = self._out.pop(b)
+        del self._out[b]
         einit = self._einit
-        for h in moved:
+        for h in out_b:
             einit[h] = a
-        self._out[a].extend(moved)
+        out_a.extend(out_b)
+        if self._base == b:
+            self._base = a
         return a
 
     # -- basic queries ----------------------------------------------------
@@ -108,7 +115,7 @@ class LabeledGraph:
     def basepoint(self) -> int:
         if self._base is None:
             raise InvariantError("graph has no vertices")
-        return self.find(self._base)
+        return self._base
 
     def vertices(self) -> list[int]:
         return sorted(self._out)
@@ -134,10 +141,10 @@ class LabeledGraph:
         return e if self._elabel[e].sign > 0 else e ^ 1
 
     def degree(self, v: int) -> int:
-        return len(self._out[self.find(v)])
+        return len(self._out[v])
 
     def out_edge(self, v: int, letter: Letter) -> int | None:
-        for e in self._out[self.find(v)]:
+        for e in self._out[v]:
             if self._elabel[e] == letter:
                 return e
         return None
@@ -190,47 +197,9 @@ class LabeledGraph:
 
     def remove_vertex(self, v: int) -> None:
         """Delete a vertex and its adjacency list; its edges must already be gone."""
-        v = self.find(v)
         if self.degree(v):
             raise InvariantError("removing a vertex with live edges")
         del self._out[v]
-
-    # -- folding ----------------------------------------------------------
-
-    def _fold_inplace(self, seeds: Iterable[int] | None = None) -> None:
-        if seeds is None:
-            queue = deque(self.vertices())
-        else:
-            queue = deque(self.find(s) for s in seeds)
-        queued = set(queue)
-        while queue:
-            v = queue.popleft()
-            queued.discard(v)
-            v = self.find(v)
-            if v not in self._out:
-                continue
-            scanning = True
-            while scanning:
-                scanning = False
-                v = self.find(v)
-                slots: dict[Letter, int] = {}
-                for e in self._out[v]:   # the scan stops at the first fold
-                    l = self._elabel[e]
-                    other = slots.get(l)
-                    if other is None:
-                        slots[l] = e
-                        continue
-                    # fold e onto other: identify terminal vertices, drop e
-                    t1 = self._einit[other ^ 1]
-                    t2 = self._einit[e ^ 1]
-                    self.remove_edge(e)
-                    if t1 != t2:
-                        r = self._union(t1, t2)
-                        if r not in queued:
-                            queue.append(r)
-                            queued.add(r)
-                    scanning = True
-                    break
 
 
 @dataclass(frozen=True)
@@ -268,7 +237,7 @@ class SpanningTree:
         return tuple(word)
 
 
-def bouquet(gens: Iterable[Word], pair: "FactorPair") -> LabeledGraph:
+def bouquet(gens: Iterable[Word]) -> LabeledGraph:
     """A wedge of loops at a fresh basepoint, one loop per nonempty word."""
     g = LabeledGraph()
     v0 = g.add_vertex()
@@ -284,45 +253,75 @@ def bouquet(gens: Iterable[Word], pair: "FactorPair") -> LabeledGraph:
     return g
 
 
-def fold_all(g: LabeledGraph) -> LabeledGraph:
-    """Fold to a well-labelled quotient; confluent, so order never matters."""
-    h = g.copy()
-    h._fold_inplace()
-    return h
+def fold_all(g: LabeledGraph, seeds: Iterable[int] | None = None) -> LabeledGraph:
+    """Fold ``g`` in place to a well-labelled quotient and return it;
+    confluent, so order never matters.  The queue starts at every vertex,
+    or at the live vertices ``seeds``, where gluing may have made two
+    edges share a label."""
+    out, label, einit = g._out, g._elabel, g._einit
+    queue = deque(g.vertices() if seeds is None else seeds)
+    queued = set(queue)
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
+        v = g.find(v)   # a merge after v was queued may have killed it
+        folded = True
+        while folded:
+            folded = False
+            slots: dict[Letter, int] = {}
+            for e in out[v]:   # the scan stops at the first fold
+                l = label[e]
+                other = slots.get(l)
+                if other is None:
+                    slots[l] = e
+                    continue
+                # fold e onto other: identify terminal vertices, drop e
+                t1, t2 = einit[other ^ 1], einit[e ^ 1]
+                g.remove_edge(e)
+                if t1 != t2:
+                    r = g._union(t1, t2)
+                    if v in (t1, t2):   # v may have lost the merge
+                        v = r
+                    if r not in queued:
+                        queue.append(r)
+                        queued.add(r)
+                folded = True
+                break
+    return g
 
 
 def cut_hairs(g: LabeledGraph) -> LabeledGraph:
-    """Iteratively remove edges hanging off degree-1 vertices.
+    """Iteratively remove edges hanging off degree-1 vertices, in place;
+    returns ``g``.
 
     The basepoint is exempt even at degree 1, since removing it would
     change the subgroup the graph determines.
     """
-    h = g.copy()
-    bp = h.basepoint
-    out = h._out   # nothing is merged here, so every queued id is a root
-    queue = deque(v for v in h.vertices() if v != bp and len(out[v]) == 1)
+    bp = g.basepoint
+    out = g._out   # nothing merges here: a queued id is live until removed
+    queue = deque(v for v in g.vertices() if v != bp and len(out[v]) == 1)
     while queue:
         v = queue.popleft()
         if v not in out or v == bp or len(out[v]) != 1:
             continue
         e = out[v][0]
-        w = h.term(e)
-        h.remove_edge(e)
-        h.remove_vertex(v)
+        w = g.term(e)
+        g.remove_edge(e)
+        g.remove_vertex(v)
         if w != bp:   # w ends a live edge, so it has a list
             d = len(out[w])
             if d == 1:
                 queue.append(w)
             elif d == 0:
-                h.remove_vertex(w)
-    return h
+                g.remove_vertex(w)
+    return g
 
 
 def trace(g: LabeledGraph, v: int, w: Word) -> int | None:
     """The vertex reached by reading ``w`` from ``v`` along uniquely
     labelled edges, or None when some letter cannot be read."""
     out, label, einit = g._out, g._elabel, g._einit
-    cur = g.find(v)
+    cur = v
     for letter in w:
         for e in out[cur]:
             if label[e] == letter:
@@ -375,7 +374,6 @@ def spanning_tree(g: LabeledGraph, root: int, edges: Collection[int] | None) -> 
     ``edges`` (all of them for None), expanding edges in letter order for
     determinism."""
     out, label, einit = g._out, g._elabel, g._einit
-    root = g.find(root)
     parent: dict[int, tuple[int, Letter]] = {}
     geo: set[int] = set()
     order = [root]
@@ -404,10 +402,9 @@ def pointed_iso(g1: LabeledGraph, v1: int, g2: LabeledGraph, v2: int) -> bool:
     """
     out1, label1, einit1 = g1._out, g1._elabel, g1._einit
     out2, label2, einit2 = g2._out, g2._elabel, g2._einit
-    r1, r2 = g1.find(v1), g2.find(v2)
-    fwd: dict[int, int] = {r1: r2}
-    bwd: dict[int, int] = {r2: r1}
-    queue = deque([r1])
+    fwd: dict[int, int] = {v1: v2}
+    bwd: dict[int, int] = {v2: v1}
+    queue = deque([v1])
     while queue:
         a = queue.popleft()
         b = fwd[a]

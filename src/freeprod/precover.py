@@ -3,8 +3,10 @@
 The pipeline turns a generating set into the unique reduced precover
 determining the subgroup: wedge the generators into a bouquet, fold and cut
 hairs, complete every monochromatic component to a cover of its factor by
-gluing factor Cayley graphs, then discard redundant components.  One scan
-of the saturated graph feeds both pruning and certification.  Membership
+gluing factor Cayley graphs, then discard redundant components.  The
+bouquet is the only graph of the build: each stage edits it in place and
+returns it, and the graph carries its basepoint.  One scan of the
+saturated graph feeds both pruning and certification.  Membership
 of a word then reduces to tracing its normal form as a loop at the basepoint.
 """
 
@@ -89,9 +91,9 @@ def component_is_cover(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -
 
 def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
     """Complete every monochromatic component of a folded graph to a cover
-    of its factor in one pass: glue a copy of the factor's Cayley graph
-    along the lowest edge of each non-cover (identity onto the edge's
-    initial vertex), then fold once.
+    of its factor in one pass, in place: glue a copy of the factor's
+    Cayley graph along the lowest edge of each non-cover (identity onto
+    the edge's initial vertex), then fold once.  Returns ``g``.
 
     The copy is saturated, so the fold drags all of the connected
     component C into it: C ends up in a quotient of Cayley(G).  A
@@ -102,19 +104,19 @@ def saturate(g: LabeledGraph, pair: FactorPair) -> LabeledGraph:
     every relator reads a closed path from each of them: it is a cover.
     ``subgroup_graph``'s certification is the one check of this argument.
     """
-    h = g.copy()
-    bad = [comp for comp in components(h) if not component_is_cover(h, comp, pair)]
+    bad = [comp for comp in components(g) if not component_is_cover(g, comp, pair)]
     seeds = []
     for comp in bad:
         e = comp.edges[0]
         group = pair.factor(comp.factor)
-        base = _append_cayley(h, group, comp.factor)
+        base = _append_cayley(g, group, comp.factor)
         # identify the copy's identity with the edge's initial vertex and
-        # the two copies of the edge; folding finishes the identification
-        seeds.append(h._union(h.init(e), base + group.identity))
-        seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
-    h._fold_inplace(seeds=seeds)
-    return h
+        # the two copies of the edge; folding finishes the identification.
+        # A fresh vertex never wins a merge (smaller class or larger id),
+        # and no generator is the identity, so both ids are still live
+        seeds.append(g._union(g.init(e), base + group.identity))
+        seeds.append(g._union(g.term(e), base + pair.letter_element(g.label(e))))
+    return fold_all(g, seeds)
 
 
 def _redundant(comp: MonoComponent, vb: Collection[int], v0: int, pair: FactorPair) -> bool:
@@ -138,17 +140,16 @@ def _collapses(g: LabeledGraph, comp: MonoComponent, pair: FactorPair) -> bool:
     )
 
 
-def prune_redundant(
-    g: LabeledGraph, v0: int, pair: FactorPair, records: list[Record]
-) -> LabeledGraph:
-    """Drop redundant components of a precover, keeping attaching vertices.
+def prune_redundant(g: LabeledGraph, pair: FactorPair, records: list[Record]) -> LabeledGraph:
+    """Drop redundant components of a precover in place, keeping attaching
+    vertices; returns ``g``.
 
     A component is redundant when it is a full factor Cayley graph (trivial
     loop subgroup), touches the rest of the graph in at most one vertex and
-    does not carry the basepoint among its monochromatic vertices.  If what
-    remains is a lone factor Cayley graph with no bichromatic vertices, the
-    whole graph collapses to the basepoint: it determines the trivial
-    subgroup.
+    does not carry ``g``'s basepoint among its monochromatic vertices.  If
+    what remains is a lone factor Cayley graph with no bichromatic
+    vertices, the whole graph collapses to the basepoint: it determines
+    the trivial subgroup.
 
     ``records`` is the scan of ``g`` with each cover defect.  Removing a
     victim attached at w only stops w from being bichromatic in the one
@@ -156,8 +157,7 @@ def prune_redundant(
     the victims in ``components()`` order with no other scan; the rule is
     tested again at each pop, since the basepoint can leave a vb.
     """
-    h = g.copy()
-    v0 = h.find(v0)
+    v0 = g.basepoint
     vb = [set(comp.vb) for comp, _ in records]
     at = {(v, comp.factor): k for k, (comp, _) in enumerate(records) for v in comp.vb}
 
@@ -173,21 +173,21 @@ def prune_redundant(
         gone.add(k)
         victim = records[k][0]
         for e in victim.edges:
-            h.remove_edge(e)
+            g.remove_edge(e)
         for v in victim.vertices - vb[k]:
-            h.remove_vertex(v)
+            g.remove_vertex(v)
         for w in vb[k]:
             other = at[(w, 3 - victim.factor)]
             vb[other].discard(w)
             if redundant(other):
                 heapq.heappush(heap, other)
     rest = [rec for k, rec in enumerate(records) if k not in gone]
-    if len(rest) == 1 and rest[0][1] is None and _collapses(h, rest[0][0], pair):
+    if len(rest) == 1 and rest[0][1] is None and _collapses(g, rest[0][0], pair):
         for e in rest[0][0].edges:
-            h.remove_edge(e)
+            g.remove_edge(e)
         for v in rest[0][0].vertices - {v0}:
-            h.remove_vertex(v)
-    return h
+            g.remove_vertex(v)
+    return g
 
 
 @dataclass
@@ -213,12 +213,10 @@ class SubgroupGraph:
 def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     """Run the full pipeline on a generating set and certify the result."""
     gens = tuple(tuple(w) for w in gens)
-    g = bouquet(gens, pair)
-    g = cut_hairs(fold_all(g))
-    g = saturate(g, pair)
+    g = saturate(cut_hairs(fold_all(bouquet(gens))), pair)
     records = [(comp, _cover_defect(g, comp, pair)) for comp in components(g)]
-    g = prune_redundant(g, g.basepoint, pair, records)
-    precover_ok, verdict = _certify(g, records, g.basepoint, pair)
+    g = prune_redundant(g, pair, records)
+    precover_ok, verdict = _certify(g, records, pair)
     return SubgroupGraph(
         graph=g,
         pair=pair,
@@ -229,14 +227,12 @@ def subgroup_graph(gens, pair: FactorPair) -> SubgroupGraph:
     )
 
 
-def _certify(
-    g: LabeledGraph, records: list[Record], v0: int, pair: FactorPair
-) -> tuple[bool, Verdict]:
+def _certify(g: LabeledGraph, records: list[Record], pair: FactorPair) -> tuple[bool, Verdict]:
     """Whether a pruned graph is a precover, and the verdict on it as a
-    reduced one, from the records pruning read.  A record with no live edge
-    was pruned; one with all of them survives, in ``components()`` order,
-    and only its bichromatic vertices are read again; one that lost only
-    some of them fails."""
+    reduced one at its basepoint, from the records pruning read.  A record
+    with no live edge was pruned; one with all of them survives, in
+    ``components()`` order, and only its bichromatic vertices are read
+    again; one that lost only some of them fails."""
     if not g.is_well_labelled():
         return False, Verdict(False, "graph is not well-labelled")
     if g.vertices() and not g.is_connected():
@@ -253,7 +249,7 @@ def _certify(
             return False, Verdict(False, f"component {len(kept)} (factor {comp.factor}) {why}")
         f = comp.factor
         kept.append((comp, [v for v in comp.vb if any(label[e].factor != f for e in out[v])]))
-    v0 = g.find(v0)
+    v0 = g.basepoint
     for k, (comp, vb) in enumerate(kept):
         if _redundant(comp, vb, v0, pair):
             return True, Verdict(False, f"component {k} (factor {comp.factor}) is redundant")

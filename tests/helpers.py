@@ -407,6 +407,7 @@ def reference_saturate(g, pair: FactorPair):
     """Saturation as first written: glue a Cayley copy onto every component
     that is not a cover, fold, and repeat until every component is one."""
     from freeprod import InvariantError, components
+    from freeprod.lgraph import fold_all
     from freeprod.precover import component_is_cover
 
     h = g.copy()
@@ -431,8 +432,8 @@ def reference_saturate(g, pair: FactorPair):
                 for gi, (_, img) in enumerate(group.generators):
                     h.add_edge(base + v, base + group.mult(v, img), Letter(comp.factor, gi, 1))
             seeds.append(h._union(h.init(e), base + group.identity))
-            seeds.append(h._union(h.term(e), h.find(base + pair.letter_element(h.label(e)))))
-        h._fold_inplace(seeds=seeds)
+            seeds.append(h._union(h.term(e), base + pair.letter_element(h.label(e))))
+        fold_all(h, seeds)
         comps = components(h)
 
 
@@ -476,12 +477,13 @@ def scan(g, pair: FactorPair):
     return [(comp, _cover_defect(g, comp, pair)) for comp in components(g)]
 
 
-def certify(g, v0, pair: FactorPair):
-    """The library's certification of a graph from a fresh ``scan``:
-    whether it is a precover, and the verdict on it as a reduced one."""
+def certify(g, pair: FactorPair):
+    """The library's certification of a graph at its basepoint from a
+    fresh ``scan``: whether it is a precover, and the verdict on it as a
+    reduced one."""
     from freeprod.precover import _certify
 
-    return _certify(g, scan(g, pair), v0, pair)
+    return _certify(g, scan(g, pair), pair)
 
 
 def reference_prune(g, v0, pair: FactorPair):

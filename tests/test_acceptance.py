@@ -50,6 +50,7 @@ from helpers import (
     rank_by_count,
     reference_certify,
     reference_decompose,
+    set_basepoint,
     subgraph,
 )
 
@@ -397,19 +398,25 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
         for name in ("components", "spanning_tree", "basic_step", "_covers", "_letters_at"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    # union-find walks: edge endpoints are kept at their roots, so only
-    # vertex ids handed in from outside (basepoints, walk roots) need one
+    # union-find walks: edge endpoints and the basepoint are kept at their
+    # roots, so only fold's queue, where a merge can kill a queued id, needs one
     monkeypatch.setattr(LabeledGraph, "find", counted("find", LabeledGraph.find))
     for name in ("copy", "remove_edge"):
         monkeypatch.setattr(LabeledGraph, name, counted(name, getattr(LabeledGraph, name)))
     prune = _counted_within(freeprod.precover, "prune_redundant", counts, monkeypatch)
+    fold = _counted_within(freeprod.precover, "fold_all", counts, monkeypatch)
     sg = subgroup_graph(gens, z2z3)
     build = counts.copy()
     covers = components(sg.graph)   # every component of a precover is a cover
     comps = len(covers)
-    verts = sg.vertex_count
     counts.clear()
     decompose(sg)
+    # the bouquet is the one graph of the build: no stage copies it, and no
+    # vertex id outside fold's queue needs a find
+    assert build["copy"] == 0, f"{build['copy']} graph copies per build"
+    assert build["find"] == fold["find"], (
+        f"{build['find'] - fold['find']} of {build['find']} find calls per build outside fold_all"
+    )
     # one scan in saturate, and one after it that prune and certification share
     assert build["components"] <= 2, f"{build['components']} component scans per build"
     assert prune["components"] == prune["_covers"] == 0, (
@@ -436,27 +443,23 @@ def test_acceptance_work_counts(z2z3, monkeypatch):
         f"{counts['_letters_at']} vertex letter checks per decompose for "
         f"{cover_vertices} cover vertices"
     )
-    # a find per walk root, not one per edge read (15,938 before endpoints
-    # were kept at their roots)
-    assert counts["find"] <= 2 * verts, (
-        f"{counts['find']} find calls per decompose for {verts} vertices"
-    )
+    # every vertex id decompose passes is live
+    assert counts["find"] == 0, f"{counts['find']} find calls per decompose"
     summary = (
         f"components {build['components']} per build, "
         f"{build['_covers']} cover tests per build for {comps} components, "
         f"{counts['components']} per decompose with {counts['copy']} copies and "
         f"{counts['remove_edge']} edge deletions; {counts['spanning_tree']} spanning trees "
         f"for {counts['basic_step']} basic steps; {counts['_letters_at']} letter checks "
-        f"for {cover_vertices} cover vertices; {counts['find']} finds per decompose for "
-        f"{verts} vertices"
+        f"for {cover_vertices} cover vertices; {build['copy']} copies and "
+        f"{build['find']} finds per build, all {fold['find']} in fold; "
+        f"{counts['find']} finds per decompose"
     )
-    # a trace resolves the basepoint once, not a vertex per letter
+    # a trace starts at the live basepoint and reads live endpoints
     counts.clear()
     for w in gens:
         assert contains(sg, w)
-    assert counts["find"] <= 4 * len(gens), (
-        f"{counts['find']} find calls for {len(gens)} contains calls"
-    )
+    assert counts["find"] == 0, f"{counts['find']} find calls for {len(gens)} contains calls"
     print(
         f"\nACCEPTANCE work-counts: PASS ({summary}, {counts['find']} for "
         f"{len(gens)} contains calls)"
@@ -529,7 +532,7 @@ def test_acceptance_precover_gallery(z4z6):
     cycle(bad, verts, Y)
     tri = [verts[0], bad.add_vertex(), bad.add_vertex()]
     cycle(bad, tri, X)  # saturated 3-cycle, yet x^4 does not act trivially
-    assert not certify(bad, bad.basepoint, z4z6)[0]
+    assert not certify(bad, z4z6)[0]
 
     # a two-component precover passes
     two = LabeledGraph()
@@ -537,8 +540,8 @@ def test_acceptance_precover_gallery(z4z6):
     cycle(two, [a, b], X)
     c, d = two.add_vertex(), two.add_vertex()
     cycle(two, [a, c, d], Y)
-    assert certify(two, two.basepoint, z4z6)[0]
-    assert certify(two, a, z4z6)[1].ok
+    assert certify(two, z4z6)[0]
+    assert certify(two, z4z6)[1].ok   # based at a
 
     # a full Cayley component with one bichromatic vertex and trivial
     # stabilizer is redundant exactly for basepoints outside its interior
@@ -546,10 +549,11 @@ def test_acceptance_precover_gallery(z4z6):
     ring = [g2.add_vertex() for _ in range(6)]
     cycle(g2, ring, Y)
     g2.add_edge(ring[0], ring[0], X)
-    assert certify(g2, g2.basepoint, z4z6)[0]
-    assert not certify(g2, ring[0], z4z6)[1].ok
+    assert certify(g2, z4z6)[0]
+    assert not certify(g2, z4z6)[1].ok   # based at ring[0]
     for v in ring[1:]:
-        assert certify(g2, v, z4z6)[1].ok
+        set_basepoint(g2, v)
+        assert certify(g2, z4z6)[1].ok
     print("\nACCEPTANCE precover-gallery: PASS")
 
 
@@ -561,12 +565,13 @@ def test_acceptance_property_suites(z2z3, z4z6):
     n_fold = 300
     for _ in range(n_fold):
         g = random_labelled_graph(rng)
-        folded = fold_all(g)
-        again = fold_all(folded)
+        folded = fold_all(g.copy())   # fold_all edits its graph
         assert folded.is_well_labelled()
-        assert pointed_iso(folded, folded.basepoint, again, again.basepoint)
+        once = folded.copy()
+        again = fold_all(folded)
+        assert pointed_iso(once, once.basepoint, again, again.basepoint)
         ref = naive_random_fold(g, rng)
-        assert pointed_iso(folded, folded.basepoint, ref, ref.basepoint)
+        assert pointed_iso(once, once.basepoint, ref, ref.basepoint)
     counts["fold"] = n_fold
 
     # normalize idempotence and alternation

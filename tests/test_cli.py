@@ -4,6 +4,7 @@ import pytest
 
 import freeprod.cli
 from freeprod.cli import main
+from freeprod.lgraph import InvariantError
 from freeprod.precover import Verdict
 from freeprod.words import Letter
 
@@ -461,6 +462,21 @@ def test_certification_failure_names_the_reason(
         assert out
     if command == "member":
         assert "member: false" in out   # a generator, wrongly refused by the uncertified graph
+
+
+@pytest.mark.parametrize(
+    "command, stage",
+    [("build", "subgroup_graph"), ("member", "contains"), ("kurosh", "decompose"), ("present", "decompose")],
+)
+def test_an_internal_error_exits_4(psl2_file, capsys, monkeypatch, command, stage):
+    # a failed invariant is a bug: one stderr line and exit 4, never the
+    # non-member code 1 or a traceback
+    def broken(*args):
+        raise InvariantError("broken on purpose")
+
+    monkeypatch.setattr(freeprod.cli, stage, broken)
+    code, out, err = _run(capsys, command, psl2_file, *_ARGV.get(command, []))
+    assert (code, out, err) == (4, "", "internal error: broken on purpose\n")
 
 
 def test_huge_power_in_a_subgroup_generator(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_mcc_is_the_cover_filter(z2z3, z4z6):
     kept = dropped = 0
     for pair in (z2z3, z4z6):
         for gens in random_subgroups(rng, pair, 30, max_len=8):
-            g = fold_all(bouquet(gens, pair))
+            g = fold_all(bouquet(gens))
             comps = reference_components(g)
             want = [c for c in comps if reference_cover_defect(g, c, pair) is None]
             assert mcc(g, pair) == want, gens
@@ -146,7 +146,7 @@ def test_decompose_whole_group(z2z3):
 
 
 def test_free_basis_tree_and_loop(z2z3):
-    g = bouquet([parse_word("a b", z2z3)], z2z3)
+    g = bouquet([parse_word("a b", z2z3)])
     g = fold_all(g)
     # both monochromatic components are single edges, hence trees
     basis = free_basis(g, g.basepoint, set(g.edges()))
@@ -155,7 +155,7 @@ def test_free_basis_tree_and_loop(z2z3):
     b_edge = next(e for e in g.edges() if g.label(e).factor == 2)
     assert free_basis(g, g.basepoint, {b_edge}) == []
 
-    tree = bouquet([], z2z3)
+    tree = bouquet([])
     assert free_basis(tree, tree.basepoint, set()) == []
 
 

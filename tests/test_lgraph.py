@@ -31,19 +31,19 @@ B = Letter(2, 0, 1)
 
 
 def test_bouquet_empty():
-    g = bouquet([], None)
+    g = bouquet([])
     assert g.vertex_count() == 1 and g.edge_count() == 0
 
 
 def test_bouquet_two_loops(z2z3, psl2_words):
-    g = bouquet(psl2_words, z2z3)
+    g = bouquet(psl2_words)
     assert g.vertex_count() == 1 + 3 + 5
     assert g.edge_count() == 10
     assert g.degree(g.basepoint) == 4  # both ends of both loops
 
 
 def test_bouquet_single_letter():
-    g = bouquet([(A,)], None)
+    g = bouquet([(A,)])
     assert g.vertex_count() == 1 and g.edge_count() == 1
     e = g.edges()[0]
     assert g.init(e) == g.term(e) == g.basepoint
@@ -60,14 +60,15 @@ def test_fold_two_parallel_edges():
 
 
 def test_fold_idempotent(z2z3, psl2_words):
-    g = fold_all(bouquet(psl2_words, z2z3))
-    again = fold_all(g)
-    assert pointed_iso(g, g.basepoint, again, again.basepoint)
+    g = fold_all(bouquet(psl2_words))
     assert g.is_well_labelled()
+    before = dump(g)   # fold_all edits its graph
+    again = fold_all(g)
+    assert dump(again) == before
 
 
 def test_fold_double_loop():
-    g = bouquet([(A,), (A,)], None)
+    g = bouquet([(A,), (A,)])
     h = fold_all(g)
     assert h.vertex_count() == 1 and h.edge_count() == 1
 
@@ -84,8 +85,9 @@ def test_cut_hairs_removes_dangling_edge():
 
 def test_cut_hairs_noop_on_hairless(z2z3):
     g = cayley_graph(make_cyclic(3, "b"), factor=2)
+    before = g.copy()   # cut_hairs edits its graph
     h = cut_hairs(g)
-    assert pointed_iso(g, g.basepoint, h, h.basepoint)
+    assert pointed_iso(before, before.basepoint, h, h.basepoint)
 
 
 def test_cut_hairs_path_collapses_to_basepoint():
@@ -98,7 +100,7 @@ def test_cut_hairs_path_collapses_to_basepoint():
 
 
 def test_trace_empty_word():
-    g = bouquet([(A,)], None)
+    g = bouquet([(A,)])
     assert trace(g, g.basepoint, ()) == g.basepoint
 
 
@@ -115,13 +117,13 @@ def test_trace_on_subgroup_graph(z2z3, psl2_sg):
 
 
 def test_trace_stuck_position():
-    g = bouquet([(A,)], None)
+    g = bouquet([(A,)])
     assert trace(g, g.basepoint, (A, B, A)) is None
     assert stuck_at(g, g.basepoint, (A, B, A)) == 1
 
 
 def test_components_two_letter_loop(z2z3):
-    g = fold_all(bouquet([parse_word("a b", z2z3)], z2z3))
+    g = fold_all(bouquet([parse_word("a b", z2z3)]))
     comps = components(g)
     assert len(comps) == 2
     assert {c.factor for c in comps} == {1, 2}
@@ -147,7 +149,7 @@ def test_components_isolated_vertex():
 
 
 def test_spanning_tree_shapes():
-    g = bouquet([], None)
+    g = bouquet([])
     t = spanning_tree(g, g.basepoint, None)
     assert t.geo_edges == frozenset() and t.order == [g.basepoint]
 
@@ -182,7 +184,7 @@ def test_pointed_iso_same_subgroup_different_generators(z2z3, psl2_words, psl2_s
 
 
 def test_to_dot_single_vertex():
-    g = bouquet([], None)
+    g = bouquet([])
     text = to_dot(g)
     assert text.startswith("digraph")
     assert "doublecircle" in text
@@ -221,8 +223,8 @@ def test_fold_order_independence():
     rng = random.Random(99)
     for _ in range(120):
         g = _random_graph(rng)
+        ref = _naive_random_fold(g, rng)   # before fold_all edits g
         ours = fold_all(g)
-        ref = _naive_random_fold(g, rng)
         assert ours.is_well_labelled() and ref.is_well_labelled()
         assert pointed_iso(ours, ours.basepoint, ref, ref.basepoint)
 
@@ -249,8 +251,8 @@ def _labelled_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_labelled_graphs(), st.randoms(use_true_random=False))
 def test_fold_order_independence_property(g, rng):
+    ref = _naive_random_fold(g, rng)   # before fold_all edits g
     ours = fold_all(g)
-    ref = _naive_random_fold(g, rng)
     assert ours.is_well_labelled() and ref.is_well_labelled()
     assert pointed_iso(ours, ours.basepoint, ref, ref.basepoint)
 
@@ -292,6 +294,36 @@ def test_removed_elements_keep_no_state():
     assert g.edges() == [e]   # the refused edge left nothing behind
 
 
+def test_a_merged_id_is_dead_like_a_removed_one():
+    g = LabeledGraph()
+    u, v, w = (g.add_vertex() for _ in range(3))
+    g.add_edge(u, v, A)
+    g.add_edge(v, w, B)
+    assert g._union(u, w) == u   # equal classes: the smaller id survives
+    before = (dump(g), g.vertices(), g.edge_count())
+    stale_reads = [
+        lambda: g.add_edge(w, v, A),
+        lambda: g.add_edge(v, w, A),
+        lambda: g._union(w, v),
+        lambda: g._union(v, w),
+        lambda: g.degree(w),
+        lambda: g.out_edge(w, B),
+        lambda: g.remove_vertex(w),
+        lambda: trace(g, w, (B,)),
+        lambda: spanning_tree(g, w, None),
+        lambda: pointed_iso(g, w, g, u),
+    ]
+    for read in stale_reads:
+        with pytest.raises(KeyError):
+            read()
+        assert (dump(g), g.vertices(), g.edge_count()) == before
+    # the basepoint follows a merge that it loses
+    h = LabeledGraph()
+    b0, b1, b2 = (h.add_vertex() for _ in range(3))
+    h._union(b1, b2)
+    assert h._union(b0, b1) == b1 and h.basepoint == b1 and h.vertices() == [b1]
+
+
 def test_tree_words_survive_deleting_tree_edges():
     # the tree keeps its own words: deleting the edges it was built from
     # changes no word
@@ -331,9 +363,9 @@ def test_live_edges_start_at_roots_through_the_pipeline(data):
     pair = _INVARIANT_PAIRS[data.draw(st.sampled_from(sorted(_INVARIANT_PAIRS)))]
     word = st.lists(st.sampled_from(pair.all_letters()), min_size=1, max_size=8)
     gens = [tuple(w) for w in data.draw(st.lists(word, min_size=1, max_size=4))]
-    g = bouquet(gens, pair)
+    g = bouquet(gens)
     _assert_endpoints_at_roots(g)
-    prune = lambda g: prune_redundant(g, g.basepoint, pair, scan(g, pair))
+    prune = lambda g: prune_redundant(g, pair, scan(g, pair))
     for stage in (fold_all, cut_hairs, lambda g: saturate(g, pair), prune):
         g = stage(g)
         _assert_endpoints_at_roots(g)
@@ -379,10 +411,10 @@ def test_fold_then_pipeline_matches_pipeline(z2z3):
             for _ in range(rng.randint(1, 3))
         ]
         sg = subgroup_graph(gens, z2z3)
-        g = fold_all(fold_all(bouquet(gens, z2z3)))  # pre-folded start
+        g = fold_all(fold_all(bouquet(gens)))  # pre-folded start
         g = cut_hairs(g)
         g = saturate(g, z2z3)
-        g = prune_redundant(g, g.basepoint, z2z3, scan(g, z2z3))
+        g = prune_redundant(g, z2z3, scan(g, z2z3))
         assert pointed_iso(g, g.basepoint, sg.graph, sg.graph.basepoint)
 
 

@@ -68,8 +68,9 @@ def _gallery_gamma2(z4z6):
 
 def test_saturate_fixpoint_on_precover(z4z6):
     g, _ = _gallery_gamma2(z4z6)
+    before = g.copy()   # saturate edits its graph
     h = saturate(g, z4z6)
-    assert pointed_iso(g, g.basepoint, h, h.basepoint)
+    assert pointed_iso(before, before.basepoint, h, h.basepoint)
 
 
 def test_saturate_completes_single_edge(z2z3):
@@ -78,7 +79,7 @@ def test_saturate_completes_single_edge(z2z3):
     g.add_edge(u, v, Letter(1, 0, 1))
     h = saturate(g, z2z3)
     assert h.vertex_count() == 2 and h.edge_count() == 2
-    ok, verdict = certify(h, h.basepoint, z2z3)
+    ok, verdict = certify(h, z2z3)
     assert ok, verdict.reason
 
 
@@ -87,9 +88,9 @@ def test_saturate_repairs_unbased_cycle(z4z6):
     g = LabeledGraph()
     verts = [g.add_vertex() for _ in range(3)]
     _cycle(g, verts, X)
-    assert not certify(g, g.basepoint, z4z6)[0]
+    assert not certify(g, z4z6)[0]
     h = saturate(g, z4z6)
-    ok, verdict = certify(h, h.basepoint, z4z6)
+    ok, verdict = certify(h, z4z6)
     assert ok, verdict.reason
     # x^3 generates Z4, so everything collapses to the one-coset graph
     assert h.vertex_count() == 1 and h.edge_count() == 1
@@ -97,12 +98,14 @@ def test_saturate_repairs_unbased_cycle(z4z6):
 
 def test_prune_collapses_lone_cayley(z2z3):
     g = cayley_graph(make_cyclic(2, "a"))
-    h = prune_redundant(g, g.basepoint, z2z3, scan(g, z2z3))
+    h = prune_redundant(g, z2z3, scan(g, z2z3))
     assert h.vertex_count() == 1 and h.edge_count() == 0
 
 
 def test_prune_is_fixpoint_on_reduced(z2z3, psl2_sg):
-    h = prune_redundant(psl2_sg.graph, psl2_sg.graph.basepoint, z2z3, scan(psl2_sg.graph, z2z3))
+    # prune a copy: pruning edits its graph, and the fixture is shared
+    g = psl2_sg.graph.copy()
+    h = prune_redundant(g, z2z3, scan(g, z2z3))
     assert pointed_iso(
         h, h.basepoint, psl2_sg.graph, psl2_sg.graph.basepoint
     )
@@ -112,13 +115,15 @@ def test_prune_depends_on_basepoint(z4z6):
     g, verts = _gallery_gamma2(z4z6)
     # basepoint at the bichromatic vertex: the y-component is redundant
     set_basepoint(g, verts[0])
-    h = prune_redundant(g, verts[0], z4z6, scan(g, z4z6))
+    h = prune_redundant(g, z4z6, scan(g, z4z6))
     assert h.vertex_count() == 1 and h.edge_count() == 1
-    # basepoint at a monochromatic y-vertex: nothing to prune
+    # basepoint at a monochromatic y-vertex: nothing to prune.  Pruning
+    # edits its graph, so compare with a copy taken before
     g2, verts2 = _gallery_gamma2(z4z6)
     set_basepoint(g2, verts2[3])
-    h2 = prune_redundant(g2, verts2[3], z4z6, scan(g2, z4z6))
-    assert pointed_iso(h2, h2.basepoint, g2, g2.basepoint)
+    before = g2.copy()
+    h2 = prune_redundant(g2, z4z6, scan(g2, z4z6))
+    assert pointed_iso(h2, h2.basepoint, before, before.basepoint)
 
 
 def test_subgroup_graph_trivial(z2z3):
@@ -145,11 +150,11 @@ def test_subgroup_graph_single_generator(z2z3):
 def test_is_precover_gallery(z4z6):
     # one full Cayley(Z4) component alone
     g1 = cayley_graph(make_cyclic(4, "x"))
-    assert certify(g1, g1.basepoint, z4z6)[0]
+    assert certify(g1, z4z6)[0]
 
     # two components sharing one vertex
     g2, _ = _gallery_gamma2(z4z6)
-    assert certify(g2, g2.basepoint, z4z6)[0]
+    assert certify(g2, z4z6)[0]
 
     # x-components that are not covers: an attached 3-cycle of x-edges
     g3 = LabeledGraph()
@@ -157,7 +162,7 @@ def test_is_precover_gallery(z4z6):
     _cycle(g3, verts, Y)
     tri = [verts[0], g3.add_vertex(), g3.add_vertex()]
     _cycle(g3, tri, X)
-    bad = certify(g3, g3.basepoint, z4z6)[1]
+    bad = certify(g3, z4z6)[1]
     assert not bad.ok and "not a cover" in bad.reason
 
     # an unsaturated x-edge also fails, with a witness
@@ -165,7 +170,7 @@ def test_is_precover_gallery(z4z6):
     verts = [g3b.add_vertex() for _ in range(6)]
     _cycle(g3b, verts, Y)
     g3b.add_edge(verts[0], g3b.add_vertex(), X)
-    bad2 = certify(g3b, g3b.basepoint, z4z6)[1]
+    bad2 = certify(g3b, z4z6)[1]
     assert not bad2.ok and "not saturated" in bad2.reason
 
     # a 2-cycle x-cover plus a 3-cycle y-cover, glued at one vertex
@@ -174,23 +179,25 @@ def test_is_precover_gallery(z4z6):
     _cycle(g4, [a, b], X)
     c, d = g4.add_vertex(), g4.add_vertex()
     _cycle(g4, [a, c, d], Y)
-    assert certify(g4, g4.basepoint, z4z6)[0]
+    assert certify(g4, z4z6)[0]
 
     # single vertex, no edges: the empty precover
     point = LabeledGraph()
     point.add_vertex()
-    assert certify(point, point.basepoint, z4z6)[0]
+    assert certify(point, z4z6)[0]
 
 
 def test_is_reduced_precover_gallery(z4z6):
     g1 = cayley_graph(make_cyclic(4, "x"))
     for v in list(g1.vertices()):
-        assert not certify(g1, v, z4z6)[1].ok
+        set_basepoint(g1, v)
+        assert not certify(g1, z4z6)[1].ok
 
     g2, verts = _gallery_gamma2(z4z6)
-    assert not certify(g2, verts[0], z4z6)[1].ok
+    assert not certify(g2, z4z6)[1].ok   # based at verts[0]
     for v in verts[1:]:
-        assert certify(g2, v, z4z6)[1].ok
+        set_basepoint(g2, v)
+        assert certify(g2, z4z6)[1].ok
 
     g4 = LabeledGraph()
     a, b = g4.add_vertex(), g4.add_vertex()
@@ -198,11 +205,12 @@ def test_is_reduced_precover_gallery(z4z6):
     c, d = g4.add_vertex(), g4.add_vertex()
     _cycle(g4, [a, c, d], Y)
     for v in (a, b, c, d):
-        assert certify(g4, v, z4z6)[1].ok
+        set_basepoint(g4, v)
+        assert certify(g4, z4z6)[1].ok
 
     point = LabeledGraph()
     point.add_vertex()
-    assert certify(point, 0, z4z6)[1].ok
+    assert certify(point, z4z6)[1].ok
 
 
 def test_contains_psl2_examples(z2z3, psl2_sg):
@@ -317,11 +325,11 @@ def test_prune_cascades_through_chained_components(z2z3):
     r = g.add_vertex()
     g.add_edge(p, r, Letter(1, 0, 1))        # full Cayley(Z2) hanging off p
     g.add_edge(r, p, Letter(1, 0, 1))
-    assert certify(g, g.basepoint, z2z3)[0]
-    h = prune_redundant(g, v0, z2z3, scan(g, z2z3))
+    assert certify(g, z2z3)[0]
+    h = prune_redundant(g, z2z3, scan(g, z2z3))
     assert h.vertices() == [v0]
     assert h.edge_count() == 1
-    assert certify(h, v0, z2z3)[1].ok
+    assert certify(h, z2z3)[1].ok
 
 
 def test_is_precover_rejects_disconnected(z2z3):
@@ -329,7 +337,7 @@ def test_is_precover_rejects_disconnected(z2z3):
     g.add_vertex()
     v = g.add_vertex()
     g.add_edge(v, v, Letter(1, 0, 1))
-    res = certify(g, g.basepoint, z2z3)[1]
+    res = certify(g, z2z3)[1]
     assert not res.ok and "connected" in res.reason
 
 
@@ -391,13 +399,13 @@ def test_one_pass_readers_agree_with_references(data):
     word = st.lists(st.sampled_from(pair.all_letters()), min_size=1, max_size=8)
     gens = data.draw(st.lists(word, min_size=1, max_size=4))
     stage = data.draw(st.sampled_from(("folded", "hair-cut", "saturated", "pruned")))
-    g = fold_all(bouquet([tuple(w) for w in gens], pair))
+    g = fold_all(bouquet([tuple(w) for w in gens]))
     if stage != "folded":
         g = cut_hairs(g)
     if stage in ("saturated", "pruned"):
         g = saturate(g, pair)
     if stage == "pruned":
-        g = prune_redundant(g, g.basepoint, pair, scan(g, pair))
+        g = prune_redundant(g, pair, scan(g, pair))
     edges = g.edges()
     dead = data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)) if edges else []
     for e in dead:
@@ -448,9 +456,10 @@ def test_one_pass_saturate_matches_the_fixpoint_loop(data):
     for u, v, l in data.draw(st.lists(st.tuples(vertex, vertex, letter), max_size=8)):
         g.add_edge(u, v, l)
     g = cut_hairs(fold_all(g))
+    want = reference_saturate(g, pair)   # before saturate edits g
     h = saturate(g, pair)
-    assert certify(h, h.basepoint, pair)[0]
-    assert dump(h, pair) == dump(reference_saturate(g, pair), pair)
+    assert certify(h, pair)[0]
+    assert dump(h, pair) == dump(want, pair)
 
 
 def _draw_graph(data, pair):
@@ -493,9 +502,11 @@ def test_prune_matches_the_rescanning_loop(data):
         g = saturate(g, pair)
     _hang_cayley_graphs(data, g, pair)
     v0 = data.draw(st.sampled_from(g.vertices()))
-    h = prune_redundant(g, v0, pair, scan(g, pair))
-    want = reference_prune(g, v0, pair)
-    event("pruned" if h.vertex_count() < g.vertex_count() else "nothing pruned")
+    set_basepoint(g, v0)
+    want = reference_prune(g, v0, pair)   # before pruning edits g
+    n = g.vertex_count()
+    h = prune_redundant(g, pair, scan(g, pair))
+    event("pruned" if h.vertex_count() < n else "nothing pruned")
     assert dump(h, pair) == dump(want, pair)
     assert h.vertices() == want.vertices()
 

@@ -1,11 +1,12 @@
 """The library keeps no public function, class or class member that
-nothing uses.
+nothing uses, and no parameter that its function ignores.
 
 Every public module-level function or class in ``src/freeprod`` must be
 referenced somewhere else in the package or exported from ``freeprod``,
 and every public method, property and annotated field of a class must be
 read as an attribute somewhere in the package outside its own body; code
-that only tests read belongs in ``tests/helpers.py``.
+that only tests read belongs in ``tests/helpers.py``.  Every parameter of
+a function or lambda must be read in its body.
 """
 
 import ast
@@ -57,7 +58,9 @@ def test_every_public_name_is_used_or_exported():
 
 
 # "Class.member" -> why it stays although nothing in the package reads it
-ALLOWED_MEMBERS: dict[str, str] = {}
+ALLOWED_MEMBERS = {
+    "LabeledGraph.copy": "the build edits one graph; tests and the benchmark's tracer copy graphs",
+}
 
 
 def _members_and_reads():
@@ -96,3 +99,28 @@ def test_every_public_member_is_read():
     assert not unread, f"class members nothing else in src/ reads: {unread}"
     stale = sorted(ALLOWED_MEMBERS.keys() - unused)
     assert not stale, f"allowlisted members that are read or gone: {stale}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loads = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            if "super" in loads:   # zero-argument super() reads the first parameter
+                loads.add(params[0].arg)
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                f"{path.name}:{fn.lineno} {name}({p.arg})" for p in params if p.arg not in loads
+            ]
+    assert not unread, f"parameters their function never reads: {unread}"
